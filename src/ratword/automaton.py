@@ -10,7 +10,8 @@ s -a-> b+1 (a the body's first letter) together with the limit transition
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .expr import Concat, Letter, Omega, RatExpr, concat, expr_length
 from .ordinal import Ordinal
@@ -33,6 +34,15 @@ class SingleWordAutomaton:
         self.initial = initial
         self.final = self.n if final is None else final
 
+    @cached_property
+    def in_loop(self) -> bytes:
+        """in_loop[s] is nonzero when state s lies in some limit interval."""
+        depth = [0] * (self.n + 2)
+        for lo, hi in self.limits:
+            depth[lo] += 1
+            depth[hi + 1] -= 1
+        return bytes(d > 0 for d in accumulate(depth[:-1]))
+
     def leaving(self, s: int):
         """(letter, target) of the transition leaving s, or None at the final state."""
         if s == self.final:
@@ -44,9 +54,6 @@ class SingleWordAutomaton:
         if len(states) == hi - lo + 1 and (lo, hi) in self.limits:
             return self.limits[(lo, hi)]
         raise MissingLimitError(f"no limit transition for cofinal set {sorted(states)}")
-
-    def backward_spans(self):
-        return list(self.limits)
 
 
 @lru_cache(maxsize=65536)
@@ -75,15 +82,12 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
             assert first[0] == "letter"  # flattening puts a letter first
             succ.append((first[1], val + 1))
             limits[(val + 1, s)] = s + 1
-    auto = SingleWordAutomaton(tokens, succ, limits)
-    problems = validate(auto)
-    if problems:
-        raise AutomatonError("; ".join(problems))
-    return auto
+    return SingleWordAutomaton(tokens, succ, limits)
 
 
 def validate(auto: SingleWordAutomaton) -> list[str]:
-    """Structural sanity report; empty list means well-formed."""
+    """Structural sanity report; empty list means well-formed.  A debug
+    check: compile_expr does not run it."""
     problems = []
     n = auto.n
     entering: dict[int, list[tuple[str, str]]] = {}
@@ -119,42 +123,17 @@ def validate(auto: SingleWordAutomaton) -> list[str]:
     return problems
 
 
-class SubAutomaton:
-    """The automaton restricted to states [i, j]: start at i, stop at j (the
-    transition leaving j is erased).  Requires i outside every loop."""
+class SharpAutomaton:
+    """Closure of a sub-automaton under ordinal powers: to states [i, j] add
+    the successor j -a-> i+1 (a the label leaving i) and the limit transition
+    {i+1,...,j} -> j.  With j = i+1 this degenerates to the one-letter loop.
+    Requires i outside every loop."""
 
     def __init__(self, base: SingleWordAutomaton, i: int, j: int):
         if not 0 <= i < j <= base.n:
             raise AutomatonError(f"bad state range [{i}, {j}]")
-        for lo, hi in base.limits:
-            if lo <= i <= hi:
-                raise AutomatonError(f"state {i} lies inside loop [{lo},{hi}]")
-        self.base = base
-        self.i = i
-        self.j = j
-        self.initial = i
-        self.final = j
-        self.n = base.n
-
-    def leaving(self, s: int):
-        if s == self.j:
-            return None
-        return self.base.succ[s]
-
-    def limit_target(self, states) -> int:
-        target = self.base.limit_target(states)
-        if target > self.j:
-            raise MissingLimitError(f"limit target {target} escapes [{self.i},{self.j}]")
-        return target
-
-
-class SharpAutomaton:
-    """Closure of a sub-automaton under ordinal powers: to states [i, j] add
-    the successor j -a-> i+1 (a the label leaving i) and the limit transition
-    {i+1,...,j} -> j.  With j = i+1 this degenerates to the one-letter loop."""
-
-    def __init__(self, base: SingleWordAutomaton, i: int, j: int):
-        SubAutomaton(base, i, j)  # reuse the range/loop checks
+        if base.in_loop[i]:
+            raise AutomatonError(f"state {i} lies inside a loop")
         self.base = base
         self.i = i
         self.j = j
@@ -175,14 +154,6 @@ class SharpAutomaton:
         if target > self.j:
             raise MissingLimitError(f"limit target {target} escapes sharp [{self.i},{self.j}]")
         return target
-
-
-def sub_automaton(base: SingleWordAutomaton, i: int, j: int) -> SubAutomaton:
-    return SubAutomaton(base, i, j)
-
-
-def sharp_automaton(base: SingleWordAutomaton, i: int, j: int) -> SharpAutomaton:
-    return SharpAutomaton(base, i, j)
 
 
 # -- reading words back out of automata --------------------------------------
@@ -217,8 +188,8 @@ def first_visit_prefix(auto: SingleWordAutomaton, s: int) -> tuple[Ordinal, RatE
 
 
 def read_word(view, start: int | None = None) -> RatExpr | None:
-    """Word accepted by a single-word automaton (or sub-automaton) from the
-    given start state; None when the start is already final.
+    """Word accepted by a single-word automaton from the given start state;
+    None when the start is already final.
 
     A repeated state closes a loop: the continuation from its first visit
     repeats forever, so the label read since then recurs w times and the

@@ -17,9 +17,9 @@ from .expr import DEFAULT_ALPHABET, ExprError, format_expr, parse_expr
 from .factorizer import (FactorizeError, extract_factorization, factorize,
                          factorize_states, marked_expression)
 from .gen import random_expr
-from .oracles import is_prime_rational, primitive_root
-from .order import Rel, compare
-from .ordinal import ONE, format_ordinal
+from .oracles import prime_witness
+from .order import Rel, compare, word_equal
+from .ordinal import format_ordinal
 from .structural import factorize_structural
 
 
@@ -47,14 +47,6 @@ def _factorization_json(text, dup, state, fact) -> dict:
     }
 
 
-def _agree(f1, f2) -> bool:
-    from .order import word_equal
-    if len(f1.blocks) != len(f2.blocks):
-        return False
-    return all(a1 == a2 and word_equal(p1, p2)
-               for (p1, a1), (p2, a2) in zip(f1.blocks, f2.blocks))
-
-
 def cmd_factorize(args) -> int:
     e = _parse(args.expr)
     fact = state = dup = None
@@ -63,7 +55,7 @@ def cmd_factorize(args) -> int:
     structural = None
     if args.engine in ("structural", "both"):
         structural = factorize_structural(e)
-    if args.engine == "both" and not _agree(fact, structural):
+    if args.engine == "both" and not fact.same_as(structural):
         print(f"engine disagreement:\n  automaton:  {fact}\n  structural: {structural}",
               file=sys.stderr)
         return 2
@@ -121,22 +113,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_prime(args) -> int:
-    e = _parse(args.expr)
-    if is_prime_rational(e):
+    witness = prime_witness(_parse(args.expr))
+    if witness is None:
         print("prime")
-        return 0
-    root, alpha = primitive_root(e)
-    if alpha != ONE:
+    elif witness[0] == "root":
+        _, root, alpha = witness
         print(f"not prime: equals ({format_expr(root)})^[{format_ordinal(alpha)}]")
-        return 0
-    from .automaton import suffix_word
-    auto = compile_expr(e)
-    for q in range(1, auto.n):
-        suffix = suffix_word(auto, q)
-        if compare(e, suffix).rel not in (Rel.LESS, Rel.EQUAL):
-            print(f"not prime: suffix at state {q} ({format_expr(suffix)}) is smaller")
-            return 0
-    print("not prime")
+    else:
+        _, q, suffix = witness
+        print(f"not prime: suffix at state {q} ({format_expr(suffix)}) is smaller")
     return 0
 
 
@@ -171,9 +156,12 @@ def cmd_selftest(args) -> int:
         try:
             fact, _, _ = factorize(e)
             structural = factorize_structural(e)
-            if not _agree(fact, structural):
+            if not fact.same_as(structural):
                 bad += 1
                 print(f"DISAGREE {format_expr(e)}: {fact} vs {structural}")
+            elif not word_equal(fact.reconstruct(), e):
+                bad += 1
+                print(f"BAD RECONSTRUCTION {format_expr(e)}: {fact}")
         except Exception as err:  # noqa: BLE001
             bad += 1
             print(f"ERROR {format_expr(e)}: {err}")
@@ -232,6 +220,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliInputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 1
     except (FactorizeError, AssertionError) as err:
         print(f"invariant failure: {err}", file=sys.stderr)

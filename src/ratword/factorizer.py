@@ -17,6 +17,7 @@ from .automaton import (SharpAutomaton, SingleWordAutomaton, compile_expr,
 from .duplication import tau
 from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, RatExpr, concat,
                    expr_length, format_expr, power)
+from .order import word_equal
 from .ordinal import Ordinal, div_left, format_ordinal, sub_left
 from .runner import Advanced, Diverged, LeftEnded, LoopClosed, RightEnded, Trace, sync_step
 
@@ -49,6 +50,13 @@ class Factorization:
 
     def reconstruct(self) -> RatExpr:
         return concat([power(p, a) for p, a in self.blocks])
+
+    def same_as(self, other: Factorization) -> bool:
+        """Block by block the same exponents and primes denoting the same
+        words; the engine-agreement check."""
+        return len(self.blocks) == len(other.blocks) and all(
+            a1 == a2 and word_equal(p1, p2)
+            for (p1, a1), (p2, a2) in zip(self.blocks, other.blocks))
 
     def __str__(self) -> str:
         out = []

@@ -111,18 +111,25 @@ def primitive_root(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET
     return best[1], best[2]
 
 
-def is_prime_rational(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
-    """Definition-level primality: primitive, and <=lex every proper suffix
-    (a proper suffix may equal the whole word)."""
+def prime_witness(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> tuple | None:
+    """None when e is prime: primitive, and <=lex every proper suffix (a
+    proper suffix may equal the whole word).  Otherwise the reason it is not:
+    ("root", y, alpha) with e = y^alpha and alpha > 1, or ("suffix", q,
+    suffix) for the first state q whose suffix is smaller than e."""
     word = as_finite_word(e)
-    if word is not None:
-        return is_prime_finite(word, alphabet)
-    _, alpha = primitive_root(e, alphabet)
+    if word is not None and is_prime_finite(word, alphabet):
+        return None
+    root, alpha = primitive_root(e, alphabet)
     if alpha != ONE:
-        return False
+        return ("root", root, alpha)
     auto = compile_expr(e)
     for q in range(1, auto.n):
         suffix = suffix_word(auto, q)
         if compare(e, suffix, alphabet).rel not in (Rel.LESS, Rel.EQUAL):
-            return False
-    return True
+            return ("suffix", q, suffix)
+    return None
+
+
+def is_prime_rational(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
+    """Definition-level primality: prime_witness finds no reason against."""
+    return prime_witness(e, alphabet) is None

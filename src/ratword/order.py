@@ -60,6 +60,13 @@ def compare(x: RatExpr, y: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> Co
     u, v = as_finite_word(x), as_finite_word(y)
     if u is not None and v is not None:
         return _compare_finite(u, v, alphabet)
+    return compare_via_automata(x, y, alphabet)
+
+
+def compare_via_automata(x: RatExpr, y: RatExpr,
+                         alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:
+    """The product-run path of compare, without its finite fast path (tests
+    cross-check the two on finite words)."""
     trace, outcome = run_to_divergence(compile_expr(x), compile_expr(y))
     if isinstance(outcome, Diverged):
         a, b = outcome.left_letter, outcome.right_letter
@@ -70,22 +77,6 @@ def compare(x: RatExpr, y: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> Co
     if isinstance(outcome, RightEnded):
         return CompareOutcome(Rel.RIGHT_PREFIX, expr_length(y))
     assert isinstance(outcome, BothEnded)
-    return CompareOutcome(Rel.EQUAL)
-
-
-def compare_via_automata(x: RatExpr, y: RatExpr,
-                         alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:
-    """The product-run path, bypassing the finite fast path (used for
-    cross-checking the two implementations)."""
-    trace, outcome = run_to_divergence(compile_expr(x), compile_expr(y))
-    if isinstance(outcome, Diverged):
-        a, b = outcome.left_letter, outcome.right_letter
-        rel = Rel.LESS if alphabet.lt(a, b) else Rel.GREATER
-        return CompareOutcome(rel, trace.last.position, (a, b))
-    if isinstance(outcome, LeftEnded):
-        return CompareOutcome(Rel.LEFT_PREFIX, expr_length(x))
-    if isinstance(outcome, RightEnded):
-        return CompareOutcome(Rel.RIGHT_PREFIX, expr_length(y))
     return CompareOutcome(Rel.EQUAL)
 
 

@@ -60,12 +60,6 @@ def corpus():
     return _CORPUS
 
 
-def same_factorization(f1, f2):
-    return len(f1.blocks) == len(f2.blocks) and all(
-        a1 == a2 and word_equal(p1, p2)
-        for (p1, a1), (p2, a2) in zip(f1.blocks, f2.blocks))
-
-
 def flatten(fact):
     out = []
     for p, a in fact.blocks:
@@ -153,7 +147,7 @@ def test_criterion_3_finite_oracle_sweep():
 
 def test_criterion_4_engine_differential():
     for e, fact, _, structural in corpus():
-        assert same_factorization(fact, structural), format_expr(e)
+        assert fact.same_as(structural), format_expr(e)
     report(4, f"{len(corpus())} random expressions, engines identical")
 
 

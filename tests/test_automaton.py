@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratword.automaton import (AutomatonError, compile_expr, expr_of_range,
-                               first_visit_prefix, numbered_word, read_word,
-                               sharp_automaton, sub_automaton, suffix_word,
-                               to_dot, validate)
+from ratword.automaton import (AutomatonError, MissingLimitError, SharpAutomaton,
+                               compile_expr, expr_of_range, first_visit_prefix,
+                               numbered_word, read_word, suffix_word, to_dot,
+                               validate)
 from ratword.duplication import tau
 from ratword.expr import expr_length, format_expr, parse_expr, suffix_from
 from ratword.gen import random_expr
@@ -45,22 +45,37 @@ def test_validate_clean():
         assert validate(compile_expr(parse_expr(text))) == []
 
 
-def test_sub_automaton():
+def test_validate_towers():
+    # the benchmark's tower shape (...((ac)^w x1)^w x2 ...)^w xd, duplicated
+    for d in range(2, 9):
+        text = "ac"
+        for x in "bcabcabc"[:d]:
+            text = f"({text})^w{x}"
+        auto = compile_expr(tau(parse_expr(text)))
+        assert auto.n == 2 ** (d + 2) - 2
+        assert validate(auto) == []
+
+
+def test_sharp_range_checks():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
-    sub = sub_automaton(auto, 0, 4)
-    assert word_equal(read_word(sub), parse_expr("aa^wb"))
+    assert word_equal(expr_of_range(auto, 0, 4), parse_expr("aa^wb"))
     with pytest.raises(AutomatonError):
-        sub_automaton(auto, 6, 9)  # 6 lies inside a loop
+        SharpAutomaton(auto, 6, 9)  # 6 lies inside a loop
+    for i, j in [(4, 4), (5, 4), (-1, 4), (0, 13)]:
+        with pytest.raises(AutomatonError):
+            SharpAutomaton(auto, i, j)
 
 
-def test_sharp_automaton_shape():
+def test_sharp_shape():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
-    sharp = sharp_automaton(auto, 0, 4)
+    sharp = SharpAutomaton(auto, 0, 4)
     assert sharp.leaving(4) == ("a", 1)           # added back edge labeled like 0->1
     assert sharp.limit_target({1, 2, 3, 4}) == 4  # added limit
     assert sharp.limit_target({2}) == 3           # inherited limit
+    with pytest.raises(MissingLimitError):
+        sharp.limit_target({6})                   # inherited, but leaves [0, 4]
     # degenerate j = i+1: one-letter loop
-    one = sharp_automaton(auto, 0, 1)
+    one = SharpAutomaton(auto, 0, 1)
     assert one.leaving(1) == ("a", 1)
     assert one.limit_target({1}) == 1
 
@@ -107,6 +122,7 @@ def test_random_roundtrip_and_suffixes(seed):
     e = random_expr(rng, max_size=8, max_depth=2, letters="abc")
     auto = compile_expr(e)
     assert validate(auto) == []
+    assert validate(compile_expr(tau(e))) == []
     assert word_equal(read_word(auto), e)
     # the word read from any state matches the positional suffix
     for q in range(1, auto.n):

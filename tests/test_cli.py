@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ratword.cli import main
 
 
@@ -87,12 +89,15 @@ def test_compare(capsys):
 
 
 def test_prime(capsys):
-    code, out, _ = run(capsys, "prime", "a^wb")
-    assert code == 0 and out.strip() == "prime"
-    code, out, _ = run(capsys, "prime", "(ab)^w")
-    assert code == 0 and out.strip().startswith("not prime")
-    code, out, _ = run(capsys, "prime", "aba")
-    assert code == 0 and "not prime" in out
+    for text, expected in [
+        ("a^wb", "prime"),
+        ("(ab)^w", "not prime: equals (ab)^[w]"),
+        ("abab", "not prime: equals (ab)^[2]"),
+        ("aba", "not prime: suffix at state 2 (a) is smaller"),
+        ("ba^w", "not prime: suffix at state 1 (aa^w) is smaller"),
+    ]:
+        code, out, _ = run(capsys, "prime", text)
+        assert code == 0 and out == expected + "\n", text
 
 
 def test_batch(tmp_path, capsys):
@@ -118,6 +123,18 @@ def test_input_error_exit_code(capsys):
     code, _, err = run(capsys, "factorize", "((a")
     assert code == 1
     assert "error" in err
+
+
+DEEP = "(" * 3000 + "a" + ")" * 3000
+
+
+@pytest.mark.parametrize("argv", [["factorize", DEEP], ["compare", DEEP, "a"]],
+                         ids=["factorize", "compare"])
+def test_deep_nesting_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: expression nested too deeply\n"
 
 
 def test_batch_missing_file(capsys):
