@@ -13,8 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ratword import (factorize, format_expr, marked_expression, numbered_word,
-                     parse_expr, tau)
+from ratword import factorize, format_expr, marked_expression, numbered_word, parse_expr
 
 
 def show(text: str) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .expr import Concat, Letter, Omega, RatExpr, concat, expr_length
+from .expr import Letter, Omega, RatExpr, concat, expr_length
 from .ordinal import Ordinal
 
 
@@ -103,11 +103,17 @@ def validate(auto: SingleWordAutomaton) -> list[str]:
         if target != hi + 1:
             problems.append(f"limit {{{lo}..{hi}}}->{target} does not leave its interval")
         entering.setdefault(target, []).append(("limit", ""))
-    spans = sorted(auto.limits)
-    for i, (lo1, hi1) in enumerate(spans):
-        for lo2, hi2 in spans[i + 1:]:
-            if lo1 < lo2 <= hi1 < hi2 or lo2 < lo1 <= hi2 < hi1:
-                problems.append(f"limit intervals [{lo1},{hi1}] and [{lo2},{hi2}] overlap")
+    # Limit intervals must nest or be disjoint.  Sweep them by start, outer
+    # first, keeping the chain of intervals that enclose the current start.
+    enclosing: list[tuple[int, int]] = []
+    for lo, hi in sorted(auto.limits, key=lambda span: (span[0], -span[1])):
+        while enclosing and enclosing[-1][1] < lo:
+            enclosing.pop()
+        if enclosing and enclosing[-1][1] < hi:
+            lo1, hi1 = enclosing[-1]
+            problems.append(f"limit intervals [{lo1},{hi1}] and [{lo},{hi}] overlap")
+        else:
+            enclosing.append((lo, hi))
     if 0 in entering:
         problems.append("state 0 is entered by a transition")
     for s in range(1, n + 1):
@@ -197,7 +203,7 @@ def read_word(view, start: int | None = None) -> RatExpr | None:
     begins mid-loop may close a loop containing states first seen before the
     entry, so the visit order (with returns) and ordinal read positions are
     tracked explicitly."""
-    from .ordinal import OMEGA, ZERO, sub_left
+    from .ordinal import OMEGA, ZERO
     from .expr import prefix_to, suffix_from
 
     s = view.initial if start is None else start

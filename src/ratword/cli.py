@@ -11,16 +11,16 @@ import random
 import sys
 import time
 
-from .automaton import compile_expr, numbered_word, to_dot
+from .automaton import AutomatonError, compile_expr, numbered_word, to_dot
 from .duplication import tau
-from .expr import DEFAULT_ALPHABET, ExprError, format_expr, parse_expr
-from .factorizer import (FactorizeError, extract_factorization, factorize,
-                         factorize_states, marked_expression)
+from .expr import ExprError, format_expr, parse_expr
+from .factorizer import FactorizeError, factorize, marked_expression
 from .gen import random_expr
 from .oracles import prime_witness
 from .order import Rel, compare, word_equal
-from .ordinal import format_ordinal
-from .structural import factorize_structural
+from .ordinal import OrdinalError, format_ordinal
+from .runner import TraceError
+from .structural import StructuralError, factorize_structural
 
 
 class CliInputError(ValueError):
@@ -224,7 +224,8 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return 1
-    except (FactorizeError, AssertionError) as err:
+    except (FactorizeError, StructuralError, AutomatonError, TraceError, OrdinalError,
+            AssertionError) as err:
         print(f"invariant failure: {err}", file=sys.stderr)
         return 2
 

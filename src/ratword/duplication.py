@@ -4,7 +4,7 @@ rewrite preserves the denoted word."""
 
 from __future__ import annotations
 
-from .expr import Concat, Letter, Omega, RatExpr, concat
+from .expr import Letter, Omega, RatExpr, concat
 
 
 def tau(e: RatExpr) -> RatExpr:

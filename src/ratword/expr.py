@@ -6,9 +6,10 @@ is performed beyond flattening nested concatenations)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
-from .ordinal import Ordinal, OrdinalError, div_left, sub_left, OMEGA, ZERO
+from .ordinal import Ordinal, div_left, sub_left, OMEGA, ZERO
 
 
 class ExprError(ValueError):
@@ -41,12 +42,17 @@ DEFAULT_ALPHABET = Alphabet()
 
 
 class RatExpr:
+    """Base of the expression nodes.  Each node's `finite_word` is the string
+    it denotes when it contains no w-power, else None; it is not a field, so
+    equality, hashing and repr ignore it."""
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Letter(RatExpr):
     sym: str
+
+    finite_word = property(attrgetter("sym"))
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -59,8 +65,15 @@ class Concat(RatExpr):
     def __post_init__(self) -> None:
         if len(self.parts) < 2:
             raise ExprError("concatenation needs at least two parts")
-        if any(isinstance(p, Concat) for p in self.parts):
+        if Concat in map(type, self.parts):
             raise ExprError("concatenation parts must be flattened")
+
+    @cached_property
+    def finite_word(self) -> str | None:
+        # flattened parts: without an w-power, every part is a Letter
+        if Omega in map(type, self.parts):
+            return None
+        return "".join(map(attrgetter("sym"), self.parts))
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -69,6 +82,8 @@ class Concat(RatExpr):
 @dataclass(frozen=True)
 class Omega(RatExpr):
     body: RatExpr
+
+    finite_word = None
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -269,16 +284,6 @@ def _suffix(e: RatExpr, gamma: Ordinal) -> RatExpr:
     raise AssertionError("position out of range")
 
 
-def as_finite_word(e: RatExpr):
+def as_finite_word(e: RatExpr) -> str | None:
     """The underlying string if e contains no w-power, else None."""
-    if isinstance(e, Letter):
-        return e.sym
-    if isinstance(e, Omega):
-        return None
-    out = []
-    for p in e.parts:
-        w = as_finite_word(p)
-        if w is None:
-            return None
-        out.append(w)
-    return "".join(out)
+    return e.finite_word

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automaton import (SharpAutomaton, SingleWordAutomaton, compile_expr,
-                        expr_of_range, first_visit_prefix, _walk_tokens)
+                        expr_of_range, _walk_tokens)
 from .duplication import tau
 from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, RatExpr, concat,
                    expr_length, format_expr, power)
 from .order import word_equal
-from .ordinal import Ordinal, div_left, format_ordinal, sub_left
-from .runner import Advanced, Diverged, LeftEnded, LoopClosed, RightEnded, Trace, sync_step
+from .ordinal import Ordinal, div_left, format_ordinal
+from .runner import Advanced, Diverged, LoopClosed, RightEnded, Trace, sync_step
 
 
 class FactorizeError(RuntimeError):

@@ -45,15 +45,23 @@ class CompareOutcome:
 
 
 def _compare_finite(u: str, v: str, alphabet: Alphabet) -> CompareOutcome:
-    for i, (a, b) in enumerate(zip(u, v)):
-        if a != b:
-            rel = Rel.LESS if alphabet.lt(a, b) else Rel.GREATER
-            return CompareOutcome(rel, Ordinal.from_int(i), (a, b))
-    if len(u) == len(v):
+    if u == v:
         return CompareOutcome(Rel.EQUAL)
-    if len(u) < len(v):
+    if v.startswith(u):
         return CompareOutcome(Rel.LEFT_PREFIX, Ordinal.from_int(len(u)))
-    return CompareOutcome(Rel.RIGHT_PREFIX, Ordinal.from_int(len(v)))
+    if u.startswith(v):
+        return CompareOutcome(Rel.RIGHT_PREFIX, Ordinal.from_int(len(v)))
+    # binary search for the first mismatch: u[:lo] == v[:lo], u[:hi] != v[:hi]
+    lo, hi = 0, min(len(u), len(v))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u[lo:mid] == v[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    a, b = u[lo], v[lo]
+    rel = Rel.LESS if alphabet.lt(a, b) else Rel.GREATER
+    return CompareOutcome(rel, Ordinal.from_int(lo), (a, b))
 
 
 def compare(x: RatExpr, y: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:

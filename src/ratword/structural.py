@@ -8,8 +8,8 @@ cross-checks."""
 
 from __future__ import annotations
 
-from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr, concat,
-                   format_expr, power)
+from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
+                   as_finite_word, concat, format_expr, power)
 from .factorizer import Factorization
 from .order import compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
@@ -28,8 +28,9 @@ def concat_pp(u: RatExpr, alpha: Ordinal, v: RatExpr, beta: Ordinal,
     if not out.left_lt:
         raise StructuralError(
             f"concat_pp needs {format_expr(u)} <=lex {format_expr(v)}")
-    if word_equal(concat([power(u, alpha), v]), v, alphabet):
-        # u^alpha is absorbed by v (v starts with u^alpha): the result is v^beta
+    # u^alpha is absorbed by v when u^alpha v = v: the result is v^beta.  A
+    # finite v never absorbs, since |u^alpha v| > |v|.
+    if as_finite_word(v) is None and word_equal(concat([power(u, alpha), v]), v, alphabet):
         return v, beta
     return concat([power(u, alpha), power(v, beta)]), ONE
 

@@ -7,7 +7,6 @@ import random
 import time
 
 from ratword import (
-    Factorization,
     brute_force_factorize,
     circular_fact,
     compare,
@@ -15,7 +14,6 @@ from ratword import (
     concat_pp,
     depth,
     duval_factorize,
-    expr_length,
     factorize,
     factorize_structural,
     format_expr,
@@ -31,7 +29,7 @@ from ratword import (
 )
 from ratword.expr import Letter, Omega
 from ratword.gen import random_expr, random_finite_word, random_ordinal
-from ratword.ordinal import ONE, OMEGA, ZERO, Ordinal, div_left, sub_left
+from ratword.ordinal import ONE, OMEGA, Ordinal, div_left, sub_left
 from ratword.order import Rel
 
 E = parse_expr

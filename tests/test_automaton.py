@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import (AutomatonError, MissingLimitError, SharpAutomaton,
-                               compile_expr, expr_of_range, first_visit_prefix,
-                               numbered_word, read_word, suffix_word, to_dot,
-                               validate)
+                               SingleWordAutomaton, compile_expr, expr_of_range,
+                               first_visit_prefix, numbered_word, read_word,
+                               suffix_word, to_dot, validate)
 from ratword.duplication import tau
-from ratword.expr import expr_length, format_expr, parse_expr, suffix_from
+from ratword.expr import expr_length, parse_expr, suffix_from
 from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import Ordinal
@@ -54,6 +54,37 @@ def test_validate_towers():
         auto = compile_expr(tau(parse_expr(text)))
         assert auto.n == 2 ** (d + 2) - 2
         assert validate(auto) == []
+
+
+def _looped(limits):
+    """Hand-built automaton over 'a' with the limit transition {lo..hi} -> hi+1
+    and the backward transition hi -> lo for each given interval."""
+    n = max(hi for _, hi in limits) + 1
+    succ = [("a", s + 1) for s in range(n)]
+    for lo, hi in limits:
+        succ[hi] = ("a", lo)
+    return SingleWordAutomaton([("letter", "a")] * n, succ,
+                               {(lo, hi): hi + 1 for lo, hi in limits})
+
+
+@pytest.mark.parametrize("limits, crossing", [
+    ([(1, 4), (3, 6)], "[1,4] and [3,6]"),
+    ([(1, 8), (2, 3), (5, 9)], "[1,8] and [5,9]"),
+    ([(1, 2), (2, 5), (6, 7)], "[1,2] and [2,5]"),
+])
+def test_validate_crossing_limits(limits, crossing):
+    overlaps = [p for p in validate(_looped(limits)) if "overlap" in p]
+    assert overlaps == [f"limit intervals {crossing} overlap"]
+
+
+@pytest.mark.parametrize("limits", [
+    [(1, 6), (2, 3), (5, 5)],          # two nested in one
+    [(1, 4), (1, 2)],                  # nested with a shared start
+    [(1, 2), (4, 5)],                  # disjoint
+    [(1, 8), (2, 5), (3, 3), (7, 7)],  # nested three deep, then disjoint
+])
+def test_validate_nested_or_disjoint_limits(limits):
+    assert validate(_looped(limits)) == []
 
 
 def test_sharp_range_checks():

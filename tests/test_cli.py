@@ -4,7 +4,12 @@ import json
 
 import pytest
 
+from ratword import cli
+from ratword.automaton import AutomatonError, MissingLimitError
 from ratword.cli import main
+from ratword.ordinal import OrdinalError
+from ratword.runner import TraceError
+from ratword.structural import StructuralError
 
 
 def run(capsys, *argv):
@@ -141,3 +146,22 @@ def test_batch_missing_file(capsys):
     code, _, err = run(capsys, "batch", "/nonexistent/file.txt")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("engine, error", [
+    ("structural", StructuralError),
+    ("automaton", AutomatonError),
+    ("automaton", MissingLimitError),
+    ("automaton", TraceError),
+    ("automaton", OrdinalError),
+], ids=lambda value: value if isinstance(value, str) else value.__name__)
+def test_invariant_failure_exit_code(capsys, monkeypatch, engine, error):
+    def broken(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "factorize_structural" if engine == "structural" else "factorize",
+                        broken)
+    code, out, err = run(capsys, "factorize", "(bba)^w", "--engine", engine)
+    assert code == 2
+    assert out == ""
+    assert err == "invariant failure: injected\n"

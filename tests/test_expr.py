@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ratword.duplication import tau
 from ratword.expr import (ExprError, Letter, Omega, as_finite_word, concat,
                           expr_length, format_expr, letter_at, parse_expr,
                           power, prefix_to, suffix_from)
@@ -89,6 +90,44 @@ def test_prefix_suffix_examples():
 def test_as_finite_word():
     assert as_finite_word(parse_expr("abba")) == "abba"
     assert as_finite_word(parse_expr("ab^wa")) is None
+
+
+def finite_word_reference(e):
+    """The projection by recursive walk: the string e denotes, or None when
+    e contains an w-power."""
+    if isinstance(e, Letter):
+        return e.sym
+    if isinstance(e, Omega):
+        return None
+    out = []
+    for p in e.parts:
+        w = finite_word_reference(p)
+        if w is None:
+            return None
+        out.append(w)
+    return "".join(out)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_cached_projection_matches_recursive_walk(seed):
+    rng = random.Random(seed)
+    e = random_expr(rng, max_size=10, max_depth=2, letters="abc")
+    f = random_expr(rng, max_size=8, max_depth=0, letters="abc")  # finite
+    alpha = random_ordinal(rng, max_exp=2, max_coeff=3)
+    derived = [e, f, concat([e, f]), concat([f, e, f]), concat([f, f]), tau(e),
+               power(f, fin(rng.randint(1, 4))), power(e, fin(1) if alpha.is_zero else alpha)]
+    total = expr_length(e)
+    for gamma in [random_position(rng, total)] + [fin(cut) for cut in range(1, 6)]:
+        if not gamma.is_zero and gamma < total:
+            derived += [prefix_to(e, gamma), suffix_from(e, gamma)]
+    for x in derived:
+        text, h, r = format_expr(x), hash(x), repr(x)
+        assert as_finite_word(x) == finite_word_reference(x)
+        assert as_finite_word(x) == finite_word_reference(x)  # the cached read
+        # the cached value is not a field: hash, equality and repr ignore it
+        assert hash(x) == h and repr(x) == r
+        assert x == parse_expr(text) and hash(parse_expr(text)) == h
 
 
 @given(st.integers(0, 10_000))

@@ -8,7 +8,6 @@ from ratword import (
     compile_expr,
     extract_factorization,
     factorize,
-    factorize_states,
     factorize_structural,
     marked_expression,
     parse_expr,

@@ -1,13 +1,14 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import compile_expr
-from ratword.expr import format_expr, parse_expr
+from ratword.expr import Alphabet, parse_expr
 from ratword.gen import random_expr, random_finite_word
-from ratword.order import Rel, compare, compare_via_automata, word_equal
+from ratword.order import Rel, _compare_finite, compare, compare_via_automata, word_equal
 from ratword.ordinal import Ordinal
-from ratword.runner import Trace, run_to_divergence
+from ratword.runner import run_to_divergence
 
 W = Ordinal.omega
 fin = Ordinal.from_int
@@ -66,6 +67,40 @@ def test_finite_agreement_with_plain_strings(seed):
     assert fast.rel is slow.rel
     assert fast.position == slow.position
     assert fast.letters == slow.letters
+
+
+def compare_finite_reference(u, v, alphabet):
+    """(rel, position, letters) by a scan of the letters one at a time."""
+    for i, (a, b) in enumerate(zip(u, v)):
+        if a != b:
+            rel = Rel.LESS if alphabet.rank(a) < alphabet.rank(b) else Rel.GREATER
+            return rel, fin(i), (a, b)
+    if len(u) == len(v):
+        return Rel.EQUAL, None, None
+    if len(u) < len(v):
+        return Rel.LEFT_PREFIX, fin(len(u)), None
+    return Rel.RIGHT_PREFIX, fin(len(v)), None
+
+
+@pytest.mark.parametrize("letters", ["abc", "cba"])
+def test_compare_finite_matches_letter_scan(letters):
+    alphabet = Alphabet(letters)
+    rng = random.Random(17)
+    for _ in range(3000):
+        u = random_finite_word(rng, rng.choice([8, 40, 300]), "abc")
+        roll = rng.random()
+        if roll < 0.2:
+            v = u
+        elif roll < 0.4:  # u is a proper prefix of v
+            v = u + random_finite_word(rng, 5, "abc")
+        elif roll < 0.7:
+            v = u[:rng.randint(0, len(u))] + random_finite_word(rng, 40, "abc")
+        else:
+            v = random_finite_word(rng, 40, "abc")
+        if rng.random() < 0.5:
+            u, v = v, u
+        out = _compare_finite(u, v, alphabet)
+        assert (out.rel, out.position, out.letters) == compare_finite_reference(u, v, alphabet)
 
 
 @settings(deadline=None, max_examples=60)

@@ -19,6 +19,7 @@ from ratword import (
     power,
     word_equal,
 )
+from ratword.expr import Alphabet, DEFAULT_ALPHABET
 from ratword.ordinal import ONE, OMEGA, Ordinal
 from ratword.structural import StructuralError
 from ratword.gen import random_expr, random_finite_word
@@ -32,7 +33,7 @@ def test_concat_pp_trichotomy():
     assert format_expr(w) == "aab" and g == ONE
     # u^alpha absorbed on the left of v
     w, g = concat_pp(E("a"), ONE, E("a^wb"), ONE)
-    assert word_equal(w, E("a^wb")) and g == ONE
+    assert format_expr(w) == "a^wb" and g == ONE
     # equal primes: exponents add
     w, g = concat_pp(E("b"), ONE, E("b"), Ordinal.from_int(2))
     assert format_expr(w) == "b" and g == Ordinal.from_int(3)
@@ -114,6 +115,18 @@ def test_matches_duval_on_finite_words():
         for p, a in factorize_structural(E(word)).blocks:
             flat.extend([format_expr(p)] * a.to_int())
         assert flat == duval_factorize(word)
+
+
+@pytest.mark.parametrize("letters", [None, "cba"], ids=["default", "cba"])
+def test_matches_duval_on_long_finite_words(letters):
+    alphabet = DEFAULT_ALPHABET if letters is None else Alphabet(letters)
+    rng = random.Random(29)
+    for _ in range(6):
+        word = "".join(rng.choice("abc") for _ in range(rng.randint(800, 1600)))
+        flat = []
+        for p, a in factorize_structural(E(word), alphabet).blocks:
+            flat.extend([format_expr(p)] * a.to_int())
+        assert flat == duval_factorize(word, alphabet)
 
 
 def test_blocks_strictly_decreasing():
