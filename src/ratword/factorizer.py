@@ -102,7 +102,7 @@ def factorize_states(auto: SingleWordAutomaton, alphabet: Alphabet = DEFAULT_ALP
         elif isinstance(outcome, RightEnded):
             raise FactorizeError("sharp automaton has no final state; cannot end")
         else:
-            k = history.last.pair[0]
+            k = history.last_pair[0]
             if isinstance(outcome, Diverged) and \
                     alphabet.rank(outcome.left_letter) > alphabet.rank(outcome.right_letter):
                 # the suffix at j is larger: extend the candidate prefix past k.

@@ -79,7 +79,7 @@ def compare_via_automata(x: RatExpr, y: RatExpr,
     if isinstance(outcome, Diverged):
         a, b = outcome.left_letter, outcome.right_letter
         rel = Rel.LESS if alphabet.lt(a, b) else Rel.GREATER
-        return CompareOutcome(rel, trace.last.position, (a, b))
+        return CompareOutcome(rel, trace.position(-1), (a, b))
     if isinstance(outcome, LeftEnded):
         return CompareOutcome(Rel.LEFT_PREFIX, expr_length(x))
     if isinstance(outcome, RightEnded):

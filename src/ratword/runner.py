@@ -3,11 +3,15 @@
 The product run reads one letter at a time while both components agree.  Its
 trace is the repetition-free list of state pairs in first-visit order; when a
 pair repeats, the loop just closed is resolved component-wise through limit
-transitions.  Each trace entry also records the ordinal position at which the
-pair was first reached."""
+transitions.  The trace does not store the ordinal position at which each
+pair was first reached: a pair reached by a letter sits one past the pair
+before it, and a pair reached by limit transitions keeps the loop entries of
+the cascade that reached it, so `Trace.position` derives a position only
+when asked."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .ordinal import Ordinal, sub_left, OMEGA, ONE, ZERO
@@ -17,57 +21,76 @@ class TraceError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    pair: tuple[int, int]
-    position: Ordinal
-    # component states collapsed by limit transitions on the way to this pair;
-    # they recur in any later loop whose window contains this entry
-    carried: tuple[frozenset[int], frozenset[int]] = (frozenset(), frozenset())
-
-
 class Trace:
-    def __init__(self, first: tuple[int, int], position: Ordinal = ZERO):
-        self.entries: list[TraceEntry] = []
-        self._index: dict[tuple[int, int], int] = {}
-        self.append(first, position)
+    """The pairs of a product run in first-visit order.
 
-    def __contains__(self, pair) -> bool:
-        return pair in self._index
+    The first entry and every entry reached by a loop closure are limit
+    entries; every other entry was reached by a letter from the entry before
+    it.  A limit entry records the indices of the loop entries its cascade
+    closed on, and the component states those closures collapsed (plain
+    sets, which nothing mutates); the states recur in any later loop whose
+    window contains the entry."""
+
+    def __init__(self, first: tuple[int, int], position: Ordinal = ZERO):
+        self._pairs: list[tuple[int, int]] = [first]
+        self._index: dict[tuple[int, int], int] = {first: 0}
+        self._limit_at: list[int] = [0]                  # limit entry indices, increasing
+        self._cascades: list[tuple[int, ...]] = [()]
+        self._carried: list[tuple[set[int], set[int]]] = [(set(), set())]
+        self._limit_pos: list[Ordinal] = [position]      # of the first limit entries
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def index(self, pair) -> int:
-        return self._index[pair]
-
-    def append(self, pair, position: Ordinal,
-               carried=(frozenset(), frozenset())) -> None:
-        if pair in self._index:
-            raise TraceError(f"pair {pair} repeated in trace")
-        self._index[pair] = len(self.entries)
-        self.entries.append(TraceEntry(pair, position, carried))
+        return len(self._pairs)
 
     @property
-    def last(self) -> TraceEntry:
-        return self.entries[-1]
+    def last_pair(self) -> tuple[int, int]:
+        return self._pairs[-1]
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [t.pair for t in self.entries]
+        return list(self._pairs)
 
-    def lefts_from(self, idx: int) -> set[int]:
-        out = {self.entries[idx].pair[0]}
-        for t in self.entries[idx + 1:]:
-            out.add(t.pair[0])
-            out |= t.carried[0]
-        return out
+    def collect_loop(self, idx: int, lefts: set[int], rights: set[int]) -> None:
+        """Add to lefts and rights the component states of the loop that
+        entry idx opens: the pairs from idx on, and the states carried by
+        the limit entries after idx."""
+        for left, right in self._pairs[idx:]:
+            lefts.add(left)
+            rights.add(right)
+        for k in range(bisect_right(self._limit_at, idx), len(self._limit_at)):
+            carried_l, carried_r = self._carried[k]
+            lefts |= carried_l
+            rights |= carried_r
 
-    def rights_from(self, idx: int) -> set[int]:
-        out = {self.entries[idx].pair[1]}
-        for t in self.entries[idx + 1:]:
-            out.add(t.pair[1])
-            out |= t.carried[1]
-        return out
+    def append_limit(self, pair, cascade: tuple[int, ...],
+                     lefts: set[int], rights: set[int]) -> None:
+        if pair in self._index:
+            raise TraceError(f"pair {pair} repeated in trace")
+        self._index[pair] = len(self._pairs)
+        self._limit_at.append(len(self._pairs))
+        self._pairs.append(pair)
+        self._cascades.append(cascade)
+        self._carried.append((lefts, rights))
+
+    def position(self, i: int) -> Ordinal:
+        """Ordinal position at which the run first reached entry i (negative
+        i counts from the end).  A limit entry's position depends only on
+        earlier entries, so the missing ones are derived in order and kept."""
+        if i < 0:
+            i += len(self._pairs)
+        if not 0 <= i < len(self._pairs):
+            raise IndexError(f"trace entry {i} out of range")
+        for k in range(len(self._limit_pos), bisect_right(self._limit_at, i)):
+            pos = self._derived(self._limit_at[k] - 1) + ONE
+            for entry in self._cascades[k]:
+                entry_pos = self._derived(entry)
+                pos = entry_pos + sub_left(entry_pos, pos) * OMEGA
+            self._limit_pos.append(pos)
+        return self._derived(i)
+
+    def _derived(self, i: int) -> Ordinal:
+        """Position of entry i, once the limit entry at or before it is known."""
+        k = bisect_right(self._limit_at, i) - 1
+        return self._limit_pos[k] + Ordinal.from_int(i - self._limit_at[k])
 
 
 @dataclass(frozen=True)
@@ -77,10 +100,13 @@ class Advanced:
 
 @dataclass(frozen=True)
 class LoopClosed:
+    """A repeated pair (`entry`) closed a loop; the cascade of limit
+    transitions reached `pair` and collapsed the component states `lefts`
+    and `rights` (plain sets, shared with the trace)."""
     pair: tuple[int, int]
     entry: tuple[int, int]
-    lefts: frozenset[int]
-    rights: frozenset[int]
+    lefts: set[int]
+    rights: set[int]
 
 
 @dataclass(frozen=True)
@@ -106,7 +132,7 @@ class BothEnded:
 
 def sync_step(left, right, trace: Trace):
     """Advance the product run by one letter (or one limit resolution)."""
-    k, k2 = trace.last.pair
+    k, k2 = trace._pairs[-1]
     step_l = left.leaving(k)
     step_r = right.leaving(k2)
     if step_l is None and step_r is None:
@@ -119,27 +145,25 @@ def sync_step(left, right, trace: Trace):
     if a != b:
         return Diverged(a, b)
     pair = (target_l, target_r)
-    pos = trace.last.position + ONE
-    if pair not in trace:
-        trace.append(pair, pos)
+    index = trace._index
+    if pair not in index:
+        index[pair] = len(trace._pairs)
+        trace._pairs.append(pair)
         return Advanced(pair)
     # a repeated pair closes a loop; nested loops may cascade when the run
-    # entered an outer loop mid-cycle
+    # entered an outer loop mid-cycle.  Each closure's states include those
+    # of the closures before it.
     first_entry = pair
-    carry_l: set[int] = set()
-    carry_r: set[int] = set()
-    while pair in trace:
-        idx = trace.index(pair)
-        entry = trace.entries[idx]
-        lefts = trace.lefts_from(idx) | carry_l
-        rights = trace.rights_from(idx) | carry_r
-        loop_len = sub_left(entry.position, pos)
-        pos = entry.position + loop_len * OMEGA
+    lefts: set[int] = set()
+    rights: set[int] = set()
+    cascade: list[int] = []
+    while pair in index:
+        idx = index[pair]
+        cascade.append(idx)
+        trace.collect_loop(idx, lefts, rights)
         pair = (left.limit_target(lefts), right.limit_target(rights))
-        carry_l |= lefts
-        carry_r |= rights
-    trace.append(pair, pos, (frozenset(carry_l), frozenset(carry_r)))
-    return LoopClosed(pair, first_entry, frozenset(lefts), frozenset(rights))
+    trace.append_limit(pair, tuple(cascade), lefts, rights)
+    return LoopClosed(pair, first_entry, lefts, rights)
 
 
 def run_to_divergence(left, right):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
                    as_finite_word, concat, format_expr, power)
 from .factorizer import Factorization
-from .order import compare, word_equal
+from .order import CompareOutcome, compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
 
 
@@ -20,9 +20,12 @@ class StructuralError(RuntimeError):
 
 
 def concat_pp(u: RatExpr, alpha: Ordinal, v: RatExpr, beta: Ordinal,
-              alphabet: Alphabet = DEFAULT_ALPHABET) -> tuple[RatExpr, Ordinal]:
-    """Combine u^alpha v^beta (u, v prime, u <=lex v) into a single prime power."""
-    out = compare(u, v, alphabet)
+              alphabet: Alphabet = DEFAULT_ALPHABET,
+              out: CompareOutcome | None = None) -> tuple[RatExpr, Ordinal]:
+    """Combine u^alpha v^beta (u, v prime, u <=lex v) into a single prime power.
+    `out` is compare(u, v) when the caller already has it."""
+    if out is None:
+        out = compare(u, v, alphabet)
     if out.is_equal:
         return v, alpha + beta
     if not out.left_lt:
@@ -42,9 +45,12 @@ def fact_product(left: list[tuple[RatExpr, Ordinal]],
     boundary blocks can merge, repeatedly."""
     blocks = list(left)
     for v, beta in right:
-        while blocks and compare(blocks[-1][0], v, alphabet).left_le:
+        while blocks:
+            out = compare(blocks[-1][0], v, alphabet)
+            if not out.left_le:
+                break
             u, alpha = blocks.pop()
-            v, beta = concat_pp(u, alpha, v, beta, alphabet)
+            v, beta = concat_pp(u, alpha, v, beta, alphabet, out)
         blocks.append((v, beta))
     return blocks
 
@@ -73,8 +79,9 @@ def circular_fact(blocks: list[tuple[RatExpr, Ordinal]],
             nxt = (pos + 1) % len(ring)
             s1, u, alpha = ring[pos]
             _, v, beta = ring[nxt]
-            if compare(u, v, alphabet).left_le:
-                w, gamma = concat_pp(u, alpha, v, beta, alphabet)
+            out = compare(u, v, alphabet)
+            if out.left_le:
+                w, gamma = concat_pp(u, alpha, v, beta, alphabet, out)
                 if nxt == 0:
                     # merged across the wrap: the merged block now leads
                     ring = [(s1, w, gamma)] + ring[1:pos]

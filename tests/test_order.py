@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import compile_expr
-from ratword.expr import Alphabet, parse_expr
+from ratword.duplication import tau
+from ratword.expr import Alphabet, concat, letter_at, parse_expr, prefix_to
 from ratword.gen import random_expr, random_finite_word
 from ratword.order import Rel, _compare_finite, compare, compare_via_automata, word_equal
-from ratword.ordinal import Ordinal
-from ratword.runner import run_to_divergence
+from ratword.ordinal import Ordinal, parse_ordinal
+from ratword.runner import (Advanced, LoopClosed, RightEnded, Trace, run_to_divergence,
+                            sync_step)
 
 W = Ordinal.omega
 fin = Ordinal.from_int
@@ -116,3 +118,68 @@ def test_total_order_properties(seed):
     assert word_equal(x, x)
     if oxy.left_le and compare(y, z).left_le:
         assert compare(x, z).left_le
+
+
+def test_long_closure_chain():
+    """Eleven nested loops close one after another before the runs diverge
+    at w^11; deriving that position must not recurse once per closure."""
+    body = "ac"
+    for letter in "abcabcabca":
+        body = f"({body})^w{letter}"
+    x, y = parse_expr(f"({body})^wb"), parse_expr(f"({body})^wc")
+    out = compare_via_automata(tau(x), y)
+    assert out.rel is Rel.LESS and out.position == W(11) and out.letters == ("b", "c")
+
+
+class CountingLimits:
+    """An automaton that counts its limit transitions."""
+
+    def __init__(self, auto):
+        self.auto, self.calls = auto, 0
+
+    def __getattr__(self, name):
+        return getattr(self.auto, name)
+
+    def limit_target(self, states):
+        self.calls += 1
+        return self.auto.limit_target(states)
+
+
+def test_cascading_closure_positions():
+    """One step closes a loop whose limit target is already in the trace, so
+    a second loop closes in the same step.  Positions pinned entry by entry."""
+    x, y = parse_expr("b((bb)^w)^w(abbb)^w"), parse_expr("(b(bb)^w)^wa")
+    left, right = CountingLimits(compile_expr(x)), compile_expr(y)
+    trace = Trace((left.initial, right.initial))
+    closures = 0
+    while isinstance(out := sync_step(left, right, trace), (Advanced, LoopClosed)):
+        closures += isinstance(out, LoopClosed)
+    assert isinstance(out, RightEnded)
+    assert left.calls > closures
+    assert trace.pairs() == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (3, 2),
+                             (2, 3), (5, 5), (6, 6)]
+    expected = ["0", "1", "2", "3", "w", "w+1", "w+2", "w+3", "w^2", "w^2+1"]
+    assert [trace.position(i) for i in range(len(trace))] == \
+        [parse_ordinal(p) for p in expected]
+    assert trace.position(-1) == parse_ordinal("w^2+1")
+    out = compare(x, y)
+    assert out.rel is Rel.RIGHT_PREFIX and out.position == parse_ordinal("w^2+1")
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10_000))
+def test_divergence_position_reads_the_letters(seed):
+    """Where the product run reports differing letters (a, b) at p, the two
+    words carry a and b at p and agree before it."""
+    rng = random.Random(seed)
+    common = random_expr(rng, max_size=8, max_depth=2, letters="abc")
+    x = concat([common, random_expr(rng, max_size=8, max_depth=2, letters="abc")])
+    y = concat([common, random_expr(rng, max_size=8, max_depth=2, letters="abc")])
+    out = compare_via_automata(x, y)
+    if out.letters is None:
+        return
+    a, b = out.letters
+    p = out.position
+    assert letter_at(x, p) == a and letter_at(y, p) == b
+    if not p.is_zero:
+        assert word_equal(prefix_to(x, p), prefix_to(y, p))

@@ -21,6 +21,7 @@ from ratword import (
 )
 from ratword.expr import Alphabet, DEFAULT_ALPHABET
 from ratword.ordinal import ONE, OMEGA, Ordinal
+import ratword.structural as structural
 from ratword.structural import StructuralError
 from ratword.gen import random_expr, random_finite_word
 
@@ -45,6 +46,21 @@ def test_concat_pp_trichotomy():
 def test_concat_pp_rejects_decreasing():
     with pytest.raises(StructuralError):
         concat_pp(E("b"), ONE, E("a"), ONE)
+
+
+def test_concat_pp_uses_the_callers_outcome(monkeypatch):
+    """Given the caller's compare(u, v), concat_pp does not compare u with v
+    again, and gives the same result."""
+    cases = [("a", "b"), ("ab", "abb"), ("b", "b"), ("a", "a^wb")]
+    outcomes = {(u, v): compare(E(u), E(v)) for u, v in cases}
+    expected = {(u, v): concat_pp(E(u), ONE, E(v), ONE) for u, v in cases}
+
+    def no_compare(*args):
+        raise AssertionError("compared again")
+
+    monkeypatch.setattr(structural, "compare", no_compare)
+    for u, v in cases:
+        assert concat_pp(E(u), ONE, E(v), ONE, out=outcomes[u, v]) == expected[u, v]
 
 
 def test_concat_pp_word_identity():
