@@ -5,8 +5,7 @@ is performed beyond flattening nested concatenations)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
 
 from .ordinal import Ordinal, div_left, sub_left, OMEGA, ZERO
@@ -42,51 +41,126 @@ DEFAULT_ALPHABET = Alphabet()
 
 
 class RatExpr:
-    """Base of the expression nodes.  Each node's `finite_word` is the string
-    it denotes when it contains no w-power, else None; it is not a field, so
-    equality, hashing and repr ignore it."""
-    __slots__ = ()
+    """Base of the expression nodes: immutable, with slots and no instance
+    __dict__.  A Concat or Omega node works out its hash on the first
+    `hash()`, from its children's stored hashes, and keeps it; a Letter is
+    made, and hashed, once per symbol.  Each node's `finite_word` is the
+    string it denotes when it contains no w-power, else None; it is not a
+    field, so equality, hashing and repr ignore it."""
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the one field is the first slot of every node class
+        return type(self), (getattr(self, self.__slots__[0]),)
+
+    def __str__(self) -> str:
+        return format_expr(self)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__     # fills a slot past the immutability guard
+_LETTERS: dict[str, Letter] = {}
+
+
 class Letter(RatExpr):
-    sym: str
+    """One shared node per symbol: `Letter("a") is Letter("a")`."""
+    __slots__ = ("sym",)
+
+    def __new__(cls, sym: str) -> Letter:
+        try:
+            return _LETTERS[sym]
+        except KeyError:
+            node = _LETTERS[sym] = object.__new__(cls)
+            _set(node, "sym", sym)
+            _set(node, "_hash", hash((sym,)))
+            return node
 
     finite_word = property(attrgetter("sym"))
 
-    def __str__(self) -> str:
-        return format_expr(self)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Letter:
+            return NotImplemented
+        return self.sym == other.sym
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Letter(sym={self.sym!r})"
 
 
-@dataclass(frozen=True)
 class Concat(RatExpr):
-    parts: tuple[RatExpr, ...]
+    __slots__ = ("parts", "_word")
 
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[RatExpr, ...]) -> None:
+        if len(parts) < 2:
             raise ExprError("concatenation needs at least two parts")
-        if Concat in map(type, self.parts):
+        if Concat in map(type, parts):
             raise ExprError("concatenation parts must be flattened")
+        _set(self, "parts", parts)
 
-    @cached_property
+    @property
     def finite_word(self) -> str | None:
-        # flattened parts: without an w-power, every part is a Letter
-        if Omega in map(type, self.parts):
-            return None
-        return "".join(map(attrgetter("sym"), self.parts))
+        try:
+            return self._word
+        except AttributeError:
+            # flattened parts: without an w-power, every part is a Letter
+            word = None if Omega in map(type, self.parts) else \
+                "".join(map(attrgetter("sym"), self.parts))
+            _set(self, "_word", word)
+            return word
 
-    def __str__(self) -> str:
-        return format_expr(self)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Concat:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.parts,))
+            _set(self, "_hash", h)
+            return h
+
+    def __repr__(self) -> str:
+        return f"Concat(parts={self.parts!r})"
 
 
-@dataclass(frozen=True)
 class Omega(RatExpr):
-    body: RatExpr
+    __slots__ = ("body",)
+
+    def __init__(self, body: RatExpr) -> None:
+        _set(self, "body", body)
 
     finite_word = None
 
-    def __str__(self) -> str:
-        return format_expr(self)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Omega:
+            return NotImplemented
+        return self.body == other.body
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.body,))
+            _set(self, "_hash", h)
+            return h
+
+    def __repr__(self) -> str:
+        return f"Omega(body={self.body!r})"
 
 
 def concat(parts) -> RatExpr:
@@ -118,60 +192,53 @@ def format_expr(e: RatExpr) -> str:
 
 def parse_expr(text: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> RatExpr:
     """Parse the surface grammar: juxtaposition concatenates, ^w (or ^ω) is
-    w-power, parentheses group."""
+    w-power, parentheses group.  Iterative, so any nesting depth parses."""
     s = text.replace("ω", "w")
+    end = len(s)
     pos = 0
-
-    def error(msg: str):
-        raise ExprError(f"{text!r}: {msg} at position {pos}")
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
+    parts: list[RatExpr] = []           # of the innermost open group
+    outer: list[list[RatExpr]] = []     # of the groups around it
+    while True:
+        while pos < end and s[pos].isspace():
             pos += 1
-
-    def parse_seq(depth: int) -> RatExpr:
-        nonlocal pos
-        parts: list[RatExpr] = []
-        while True:
-            skip_ws()
-            if pos >= len(s) or s[pos] == ")":
+        if pos < end and s[pos] == "(":
+            pos += 1
+            outer.append(parts)
+            parts = []
+            continue
+        if pos == end or s[pos] == ")":
+            if not parts:
+                raise _parse_error(text, "empty group" if outer else "empty expression", pos)
+            if not outer:
                 break
-            if s[pos] == "(":
-                pos += 1
-                inner = parse_seq(depth + 1)
-                skip_ws()
-                if pos >= len(s) or s[pos] != ")":
-                    error("unclosed parenthesis")
-                pos += 1
-                parts.append(maybe_power(inner))
-            elif s[pos] in alphabet:
-                atom: RatExpr = Letter(s[pos])
-                pos += 1
-                parts.append(maybe_power(atom))
-            else:
-                error(f"unexpected character {s[pos]!r}")
-        if not parts:
-            error("empty expression" if depth == 0 else "empty group")
-        return concat(parts)
-
-    def maybe_power(atom: RatExpr) -> RatExpr:
-        nonlocal pos
-        skip_ws()
-        if pos < len(s) and s[pos] == "^":
+            if pos == end:
+                raise _parse_error(text, "unclosed parenthesis", pos)
             pos += 1
-            skip_ws()
-            if pos >= len(s) or s[pos] != "w":
-                error("expected w after ^")
+            atom = concat(parts)
+            parts = outer.pop()
+        elif s[pos] in alphabet:
+            atom = Letter(s[pos])
             pos += 1
-            return Omega(atom)
-        return atom
+        else:
+            raise _parse_error(text, f"unexpected character {s[pos]!r}", pos)
+        while pos < end and s[pos].isspace():
+            pos += 1
+        if pos < end and s[pos] == "^":
+            pos += 1
+            while pos < end and s[pos].isspace():
+                pos += 1
+            if pos == end or s[pos] != "w":
+                raise _parse_error(text, "expected w after ^", pos)
+            pos += 1
+            atom = Omega(atom)
+        parts.append(atom)
+    if pos != end:
+        raise _parse_error(text, f"trailing input {s[pos]!r}", pos)
+    return concat(parts)
 
-    result = parse_seq(0)
-    skip_ws()
-    if pos != len(s):
-        error(f"trailing input {s[pos]!r}")
-    return result
+
+def _parse_error(text: str, msg: str, pos: int) -> ExprError:
+    return ExprError(f"{text!r}: {msg} at position {pos}")
 
 
 # -- length and positional operations ---------------------------------------

@@ -32,7 +32,8 @@ class Trace:
     window contains the entry."""
 
     def __init__(self, first: tuple[int, int], position: Ordinal = ZERO):
-        self._pairs: list[tuple[int, int]] = [first]
+        self._lefts: list[int] = [first[0]]              # the pairs, by component
+        self._rights: list[int] = [first[1]]
         self._index: dict[tuple[int, int], int] = {first: 0}
         self._limit_at: list[int] = [0]                  # limit entry indices, increasing
         self._cascades: list[tuple[int, ...]] = [()]
@@ -40,22 +41,21 @@ class Trace:
         self._limit_pos: list[Ordinal] = [position]      # of the first limit entries
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._lefts)
 
     @property
     def last_pair(self) -> tuple[int, int]:
-        return self._pairs[-1]
+        return self._lefts[-1], self._rights[-1]
 
     def pairs(self) -> list[tuple[int, int]]:
-        return list(self._pairs)
+        return list(zip(self._lefts, self._rights))
 
     def collect_loop(self, idx: int, lefts: set[int], rights: set[int]) -> None:
         """Add to lefts and rights the component states of the loop that
         entry idx opens: the pairs from idx on, and the states carried by
         the limit entries after idx."""
-        for left, right in self._pairs[idx:]:
-            lefts.add(left)
-            rights.add(right)
+        lefts.update(self._lefts[idx:])
+        rights.update(self._rights[idx:])
         for k in range(bisect_right(self._limit_at, idx), len(self._limit_at)):
             carried_l, carried_r = self._carried[k]
             lefts |= carried_l
@@ -65,9 +65,10 @@ class Trace:
                      lefts: set[int], rights: set[int]) -> None:
         if pair in self._index:
             raise TraceError(f"pair {pair} repeated in trace")
-        self._index[pair] = len(self._pairs)
-        self._limit_at.append(len(self._pairs))
-        self._pairs.append(pair)
+        self._index[pair] = len(self._lefts)
+        self._limit_at.append(len(self._lefts))
+        self._lefts.append(pair[0])
+        self._rights.append(pair[1])
         self._cascades.append(cascade)
         self._carried.append((lefts, rights))
 
@@ -76,8 +77,8 @@ class Trace:
         i counts from the end).  A limit entry's position depends only on
         earlier entries, so the missing ones are derived in order and kept."""
         if i < 0:
-            i += len(self._pairs)
-        if not 0 <= i < len(self._pairs):
+            i += len(self._lefts)
+        if not 0 <= i < len(self._lefts):
             raise IndexError(f"trace entry {i} out of range")
         for k in range(len(self._limit_pos), bisect_right(self._limit_at, i)):
             pos = self._derived(self._limit_at[k] - 1) + ONE
@@ -132,9 +133,8 @@ class BothEnded:
 
 def sync_step(left, right, trace: Trace):
     """Advance the product run by one letter (or one limit resolution)."""
-    k, k2 = trace._pairs[-1]
-    step_l = left.leaving(k)
-    step_r = right.leaving(k2)
+    step_l = left.leaving(trace._lefts[-1])
+    step_r = right.leaving(trace._rights[-1])
     if step_l is None and step_r is None:
         return BothEnded()
     if step_l is None:
@@ -147,8 +147,9 @@ def sync_step(left, right, trace: Trace):
     pair = (target_l, target_r)
     index = trace._index
     if pair not in index:
-        index[pair] = len(trace._pairs)
-        trace._pairs.append(pair)
+        index[pair] = len(trace._lefts)
+        trace._lefts.append(target_l)
+        trace._rights.append(target_r)
         return Advanced(pair)
     # a repeated pair closes a loop; nested loops may cascade when the run
     # entered an outer loop mid-cycle.  Each closure's states include those

@@ -130,7 +130,16 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
-DEEP = "(" * 3000 + "a" + ")" * 3000
+DEEP_PARENS = "(" * 3000 + "a" + ")" * 3000
+DEEP = "(" * 3000 + "a" + ")^w" * 3000
+
+
+@pytest.mark.parametrize("argv, answer", [(["factorize", DEEP_PARENS], "a^[1]"),
+                                          (["compare", DEEP_PARENS, "a"], "=")],
+                         ids=["factorize", "compare"])
+def test_deep_parentheses_parse(capsys, argv, answer):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, answer + "\n", "")
 
 
 @pytest.mark.parametrize("argv", [["factorize", DEEP], ["compare", DEEP, "a"]],

@@ -1,10 +1,12 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
-from ratword.expr import (ExprError, Letter, Omega, as_finite_word, concat,
+from ratword.expr import (Concat, ExprError, Letter, Omega, as_finite_word, concat,
                           expr_length, format_expr, letter_at, parse_expr,
                           power, prefix_to, suffix_from)
 from ratword.gen import random_expr, random_ordinal
@@ -108,9 +110,9 @@ def finite_word_reference(e):
     return "".join(out)
 
 
-@settings(deadline=None)
-@given(st.integers(0, 10_000))
-def test_cached_projection_matches_recursive_walk(seed):
+def derived_exprs(seed):
+    """A random expression and the expressions the library derives from it:
+    concatenations, tau, powers, prefixes, suffixes, automaton ranges."""
     rng = random.Random(seed)
     e = random_expr(rng, max_size=10, max_depth=2, letters="abc")
     f = random_expr(rng, max_size=8, max_depth=0, letters="abc")  # finite
@@ -121,13 +123,80 @@ def test_cached_projection_matches_recursive_walk(seed):
     for gamma in [random_position(rng, total)] + [fin(cut) for cut in range(1, 6)]:
         if not gamma.is_zero and gamma < total:
             derived += [prefix_to(e, gamma), suffix_from(e, gamma)]
-    for x in derived:
+    auto = compile_expr(tau(e))
+    derived += [expr_of_range(auto, 0, hi) for hi in {1, rng.randint(1, auto.n), auto.n}]
+    return derived
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_cached_projection_matches_recursive_walk(seed):
+    for x in derived_exprs(seed):
         text, h, r = format_expr(x), hash(x), repr(x)
         assert as_finite_word(x) == finite_word_reference(x)
         assert as_finite_word(x) == finite_word_reference(x)  # the cached read
         # the cached value is not a field: hash, equality and repr ignore it
         assert hash(x) == h and repr(x) == r
         assert x == parse_expr(text) and hash(parse_expr(text)) == h
+
+
+FIELDS = {Letter: "sym", Concat: "parts", Omega: "body"}
+
+
+def subtrees(e):
+    yield e
+    if isinstance(e, Omega):
+        yield from subtrees(e.body)
+    elif isinstance(e, Concat):
+        for p in e.parts:
+            yield from subtrees(p)
+
+
+def rebuild(e):
+    """An equal tree of fresh Concat and Omega nodes."""
+    if isinstance(e, Letter):
+        return Letter(e.sym)
+    if isinstance(e, Omega):
+        return Omega(rebuild(e.body))
+    return Concat(tuple(rebuild(p) for p in e.parts))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_node_semantics(seed):
+    for root in derived_exprs(seed):
+        for x in subtrees(root):
+            field = FIELDS[type(x)]
+            value = getattr(x, field)
+            copy = rebuild(x)
+            assert copy == x and x == copy and not copy != x
+            assert hash(copy) == hash(x) == hash(x) == hash((value,))
+            assert x != Omega(x) and Omega(x) != x
+            assert pickle.loads(pickle.dumps(x)) == x
+            if isinstance(x, Letter):
+                assert x is Letter(x.sym) is copy is pickle.loads(pickle.dumps(x))
+            assert not hasattr(x, "__dict__")
+            with pytest.raises(AttributeError):
+                setattr(x, field, value)
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+            assert getattr(x, field) is value
+
+
+def test_letters_are_shared():
+    assert Letter("a") is Letter("a")
+    assert parse_expr("ab^wa").parts[0] is parse_expr("a") is Letter("a")
+
+
+def test_repr_pins_the_tree():
+    assert repr(parse_expr("ab^wa")) == \
+        "Concat(parts=(Letter(sym='a'), Omega(body=Letter(sym='b')), Letter(sym='a')))"
+    assert repr(parse_expr("(a^wb)^wa^w")) == (
+        "Concat(parts=(Omega(body=Concat(parts=(Omega(body=Letter(sym='a')), "
+        "Letter(sym='b')))), Omega(body=Letter(sym='a'))))")
+    assert repr(parse_expr("((ab)^wc)^w")) == (
+        "Omega(body=Concat(parts=(Omega(body=Concat(parts=(Letter(sym='a'), "
+        "Letter(sym='b')))), Letter(sym='c'))))")
 
 
 @given(st.integers(0, 10_000))
