@@ -13,8 +13,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .expr import Letter, Omega, RatExpr, concat, expr_length
-from .ordinal import Ordinal
+from .expr import Letter, Omega, RatExpr, concat, expr_length, prefix_to, suffix_from
+from .ordinal import OMEGA, ZERO, Ordinal
 
 
 class AutomatonError(RuntimeError):
@@ -26,13 +26,13 @@ class MissingLimitError(AutomatonError):
 
 
 class SingleWordAutomaton:
-    def __init__(self, tokens, succ, limits, initial=0, final=None):
+    initial = 0
+
+    def __init__(self, tokens, succ, limits):
         self.tokens = tuple(tokens)      # ("letter", a) or ("omega", body_start)
         self.n = len(self.tokens)
         self.succ = tuple(succ)          # succ[s] = (letter, target), s in 0..n-1
         self.limits = dict(limits)       # (lo, hi) -> target
-        self.initial = initial
-        self.final = self.n if final is None else final
 
     @cached_property
     def in_loop(self) -> bytes:
@@ -45,7 +45,7 @@ class SingleWordAutomaton:
 
     def leaving(self, s: int):
         """(letter, target) of the transition leaving s, or None at the final state."""
-        if s == self.final:
+        if s == self.n:
             return None
         return self.succ[s]
 
@@ -193,9 +193,8 @@ def first_visit_prefix(auto: SingleWordAutomaton, s: int) -> tuple[Ordinal, RatE
     return expr_length(prefix), prefix
 
 
-def read_word(view, start: int | None = None) -> RatExpr | None:
-    """Word accepted by a single-word automaton from the given start state;
-    None when the start is already final.
+def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:
+    """The suffix of the accepted word read from state q; None for q = n.
 
     A repeated state closes a loop: the continuation from its first visit
     repeats forever, so the label read since then recurs w times and the
@@ -203,26 +202,22 @@ def read_word(view, start: int | None = None) -> RatExpr | None:
     begins mid-loop may close a loop containing states first seen before the
     entry, so the visit order (with returns) and ordinal read positions are
     tracked explicitly."""
-    from .ordinal import OMEGA, ZERO
-    from .expr import prefix_to, suffix_from
-
-    s = view.initial if start is None else start
-    if s == view.final:
+    if not 0 <= q <= auto.n:
+        raise AutomatonError(f"state {q} out of range")
+    if q == auto.n:
         return None
+    s = q
     seq = [s]                    # visit order, entry states re-appended on closure
     first = {s: 0}               # state -> first index in seq
     first_pos = {s: ZERO}        # state -> ordinal position of first visit
     parts: list[RatExpr] = []
     pos = ZERO
-    budget = (view.n + 2) * (view.n + 2)
-    while s != view.final:
+    budget = (auto.n + 2) * (auto.n + 2)
+    while s != auto.n:
         if budget < 0:
             raise AutomatonError("runaway walk; automaton is corrupt")
         budget -= 1
-        step = view.leaving(s)
-        if step is None:
-            raise AutomatonError(f"stuck at non-final state {s}")
-        letter, target = step
+        letter, target = auto.succ[s]
         piece: RatExpr = Letter(letter)
         pos = pos + expr_length(piece)
         while target in first:
@@ -235,7 +230,7 @@ def read_word(view, start: int | None = None) -> RatExpr | None:
             parts = [] if entry_pos.is_zero else [prefix_to(whole, entry_pos)]
             piece = Omega(body)
             pos = entry_pos + expr_length(body) * OMEGA
-            target = view.limit_target(cofinal)
+            target = auto.limit_target(cofinal)
         parts.append(piece)
         seq.append(target)
         first[target] = len(seq) - 1
@@ -244,57 +239,33 @@ def read_word(view, start: int | None = None) -> RatExpr | None:
     return concat(parts)
 
 
-def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:
-    """The suffix of the accepted word read from state q; None for q = n."""
-    if not 0 <= q <= auto.n:
-        raise AutomatonError(f"state {q} out of range")
-    return read_word(auto, q)
-
-
 # -- renderings --------------------------------------------------------------
 
-def _walk_tokens(e: RatExpr, visit_letter, visit_omega) -> None:
-    counter = [0]
-
-    def go(node: RatExpr) -> None:
-        if isinstance(node, Letter):
-            visit_letter(counter[0], node.sym)
-            counter[0] += 1
-        elif isinstance(node, Omega):
-            grouped = not isinstance(node.body, Letter)
-            visit_omega(node, grouped, counter, go)
+def render_tokens(auto: SingleWordAutomaton, mark, omega: str) -> str:
+    """The compiled word as text: mark(s) before token s and mark(n) at the
+    end, each w-token written as omega, and a body of more than one token
+    in parentheses."""
+    opens = [0] * auto.n
+    for s, (kind, start) in enumerate(auto.tokens):
+        if kind == "omega" and s - start > 1:
+            opens[start] += 1
+    out: list[str] = []
+    for s, (kind, val) in enumerate(auto.tokens):
+        if kind == "letter":
+            out += ("(" * opens[s], mark(s), val)
         else:
-            for p in node.parts:
-                go(p)
-
-    go(e)
+            out += (")" if s - val > 1 else "", mark(s), omega)
+    out.append(mark(auto.n))
+    return "".join(out)
 
 
 def numbered_word(e: RatExpr) -> str:
     """Token numbering of an expression, e.g. (0a1w2b)3w4a5w6."""
-    out: list[str] = []
-
-    def letter(s: int, a: str) -> None:
-        out.append(f"{s}{a}")
-
-    def omega(node, grouped, counter, go) -> None:
-        if grouped:
-            out.append("(")
-            go(node.body)
-            out.append(")")
-        else:
-            go(node.body)
-        out.append(f"{counter[0]}w")
-        counter[0] += 1
-
-    _walk_tokens(e, letter, omega)
-    auto = compile_expr(e)
-    out.append(str(auto.n))
-    return "".join(out)
+    return render_tokens(compile_expr(e), str, "w")
 
 
-def to_dot(auto: SingleWordAutomaton, name: str = "word") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];",
+def to_dot(auto: SingleWordAutomaton) -> str:
+    lines = ["digraph word {", "  rankdir=LR;", "  node [shape=circle];",
              f"  {auto.n} [shape=doublecircle];"]
     for s, (letter, target) in enumerate(auto.succ):
         lines.append(f'  {s} -> {target} [label="{letter}"];')

@@ -10,6 +10,7 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
 
 from .automaton import AutomatonError, compile_expr, numbered_word, to_dot
 from .duplication import tau
@@ -34,6 +35,10 @@ def _parse(text: str):
         raise CliInputError(str(err)) from None
 
 
+def _factors_json(fact) -> list[dict]:
+    return [{"prime": format_expr(p), "exponent": format_ordinal(a)} for p, a in fact.blocks]
+
+
 def _factorization_json(text, dup, state, fact) -> dict:
     return {
         "input": text,
@@ -41,8 +46,7 @@ def _factorization_json(text, dup, state, fact) -> dict:
         "states": state.automaton.n + 1,
         "q_main": sorted(state.q_main),
         "q_secondary": sorted(state.q_secondary),
-        "factors": [{"prime": format_expr(p), "exponent": format_ordinal(a)}
-                    for p, a in fact.blocks],
+        "factors": _factors_json(fact),
         "steps": state.steps,
     }
 
@@ -64,9 +68,7 @@ def cmd_factorize(args) -> int:
         if state is not None:
             print(json.dumps(_factorization_json(args.expr, dup, state, fact)))
         else:
-            print(json.dumps({"input": args.expr, "factors": [
-                {"prime": format_expr(p), "exponent": format_ordinal(a)}
-                for p, a in structural.blocks]}))
+            print(json.dumps({"input": args.expr, "factors": _factors_json(structural)}))
     else:
         print(shown)
     if args.marked:
@@ -127,8 +129,8 @@ def cmd_prime(args) -> int:
 
 def cmd_batch(args) -> int:
     try:
-        lines = open(args.file).read().splitlines()
-    except OSError as err:
+        lines = Path(args.file).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as err:
         raise CliInputError(str(err)) from None
     for line in lines:
         text = line.strip()
@@ -149,6 +151,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.cases < 0:
+        raise CliInputError(f"--cases must be non-negative, got {args.cases}")
     rng = random.Random(args.seed)
     bad = 0
     for case in range(args.cases):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automaton import (SharpAutomaton, SingleWordAutomaton, compile_expr,
-                        expr_of_range, _walk_tokens)
+                        expr_of_range, render_tokens)
 from .duplication import tau
 from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, RatExpr, concat,
                    expr_length, format_expr, power)
@@ -181,34 +181,12 @@ def factorize(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET,
     return extract_factorization(auto, state.q_main, state.q_secondary), state, dup
 
 
-def marked_expression(dup: RatExpr, q_main: set[int], q_secondary: set[int],
-                      main: str = "||", secondary: str = "|") -> str:
+def marked_expression(dup: RatExpr, q_main: set[int], q_secondary: set[int]) -> str:
     """Duplicated expression with cut markers inserted before each marked
-    token (and at the end for the final state)."""
-    auto = compile_expr(dup)
-    out: list[str] = []
+    token (and at the end for the final state): || for a main cut, | for a
+    secondary one."""
 
-    def mark(s: int) -> None:
-        if s in q_main:
-            out.append(main)
-        elif s in q_secondary:
-            out.append(secondary)
+    def mark(s: int) -> str:
+        return "||" if s in q_main else "|" if s in q_secondary else ""
 
-    def letter(s: int, a: str) -> None:
-        mark(s)
-        out.append(a)
-
-    def omega(node, grouped, counter, go) -> None:
-        if grouped:
-            out.append("(")
-            go(node.body)
-            out.append(")")
-        else:
-            go(node.body)
-        mark(counter[0])
-        out.append("^w")
-        counter[0] += 1
-
-    _walk_tokens(dup, letter, omega)
-    mark(auto.n)
-    return "".join(out)
+    return render_tokens(compile_expr(dup), mark, "^w")

@@ -70,11 +70,6 @@ def _str_lt(u: str, v: str, alphabet: Alphabet) -> bool:
     return ru < rv
 
 
-def longest_prime_prefix_finite(word: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> str:
-    """The first factor of the factorization is the longest prime prefix."""
-    return duval_factorize(word, alphabet)[0]
-
-
 def primitive_root(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET
                    ) -> tuple[RatExpr, Ordinal]:
     """Shortest y with y^alpha the same word as e, together with alpha.

@@ -7,7 +7,6 @@ coefficients are arbitrary-precision ints.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from functools import total_ordering
@@ -15,12 +14,6 @@ from functools import total_ordering
 
 class OrdinalError(ArithmeticError):
     pass
-
-
-class OrdKind(enum.Enum):
-    ZERO = "zero"
-    SUCCESSOR = "successor"
-    LIMIT = "limit"
 
 
 @total_ordering
@@ -72,17 +65,6 @@ class Ordinal:
         if not self.is_finite:
             raise OrdinalError(f"{self} is not finite")
         return self.terms[0][1] if self.terms else 0
-
-    def kind(self) -> OrdKind:
-        if not self.terms:
-            return OrdKind.ZERO
-        if self.terms[-1][0] == 0:
-            return OrdKind.SUCCESSOR
-        return OrdKind.LIMIT
-
-    def is_power_of_omega(self) -> bool:
-        """True iff the ordinal is w^k for some k >= 0 (so 1 counts, 0 does not)."""
-        return len(self.terms) == 1 and self.terms[0][1] == 1
 
     # -- order -------------------------------------------------------------
 

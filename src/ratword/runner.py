@@ -31,14 +31,14 @@ class Trace:
     sets, which nothing mutates); the states recur in any later loop whose
     window contains the entry."""
 
-    def __init__(self, first: tuple[int, int], position: Ordinal = ZERO):
+    def __init__(self, first: tuple[int, int]):
         self._lefts: list[int] = [first[0]]              # the pairs, by component
         self._rights: list[int] = [first[1]]
         self._index: dict[tuple[int, int], int] = {first: 0}
         self._limit_at: list[int] = [0]                  # limit entry indices, increasing
         self._cascades: list[tuple[int, ...]] = [()]
         self._carried: list[tuple[set[int], set[int]]] = [(set(), set())]
-        self._limit_pos: list[Ordinal] = [position]      # of the first limit entries
+        self._limit_pos: list[Ordinal] = [ZERO]          # of the first limit entries
 
     def __len__(self) -> int:
         return len(self._lefts)

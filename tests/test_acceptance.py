@@ -19,7 +19,6 @@ from ratword import (
     format_expr,
     is_prime_finite,
     is_prime_rational,
-    longest_prime_prefix_finite,
     marked_expression,
     parse_expr,
     power,
@@ -296,7 +295,6 @@ def test_criterion_8_property_suites():
         word = random_finite_word(rng, 12) or "a"
         best = max((word[:i] for i in range(1, len(word) + 1)
                     if is_prime_finite(word[:i])), key=len)
-        assert longest_prime_prefix_finite(word) == best
         assert duval_factorize(word)[0] == best
 
     # rotating a block cycle lands at or below its pivot

@@ -1,14 +1,16 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import (AutomatonError, MissingLimitError, SharpAutomaton,
                                SingleWordAutomaton, compile_expr, expr_of_range,
-                               first_visit_prefix, numbered_word, read_word,
-                               suffix_word, to_dot, validate)
+                               first_visit_prefix, numbered_word, suffix_word,
+                               to_dot, validate)
 from ratword.duplication import tau
-from ratword.expr import expr_length, parse_expr, suffix_from
+from ratword.expr import expr_length, format_expr, parse_expr, suffix_from
+from ratword.factorizer import marked_expression
 from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import Ordinal
@@ -38,6 +40,27 @@ def test_thirteen_state_automaton():
 def test_numbered_word():
     assert numbered_word(parse_expr("(a^wb)^wa^w")) == "(0a1w2b)3w4a5w6"
     assert numbered_word(parse_expr("(bba)^w")) == "(0b1b2a)3w4"
+
+
+def test_numbered_word_nested_groups():
+    assert numbered_word(parse_expr("((a^wb)^wc)^w")) == "((0a1w2b)3w4c)5w6"
+    assert numbered_word(parse_expr("(a^w)^w")) == "(0a1w)2w3"
+    assert numbered_word(parse_expr("((ab)^w)^w")) == "((0a1b)2w)3w4"
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_renderings_spell_the_expression(seed):
+    # without numbers (and with w written ^w) the numbering is the
+    # expression's own text; with no marks the marked expression is too
+    rng = random.Random(seed)
+    e = random_expr(rng, max_size=20, max_depth=4, letters="abcd")
+    for x in (e, tau(e)):
+        numbered = numbered_word(x)
+        assert re.sub(r"\d+", "", numbered).replace("w", "^w") == format_expr(x)
+        numbers = [int(k) for k in re.findall(r"\d+", numbered)]
+        assert numbers == list(range(compile_expr(x).n + 1))
+        assert marked_expression(x, set(), set()) == format_expr(x)
 
 
 def test_validate_clean():
@@ -143,7 +166,7 @@ def test_to_dot():
 def test_roundtrip_read_word():
     for text in ["a", "abc", "a^w", "(ab)^w", "(a^wb)^wa^w", "((ab)^wc)^wd"]:
         e = parse_expr(text)
-        assert word_equal(read_word(compile_expr(e)), e)
+        assert word_equal(suffix_word(compile_expr(e), 0), e)
 
 
 @settings(deadline=None)
@@ -154,7 +177,7 @@ def test_random_roundtrip_and_suffixes(seed):
     auto = compile_expr(e)
     assert validate(auto) == []
     assert validate(compile_expr(tau(e))) == []
-    assert word_equal(read_word(auto), e)
+    assert word_equal(suffix_word(auto, 0), e)
     # the word read from any state matches the positional suffix
     for q in range(1, auto.n):
         pos, pref = first_visit_prefix(auto, q)

@@ -124,6 +124,13 @@ def test_selftest(capsys):
     assert "25/25 ok" in out
 
 
+def test_selftest_negative_cases(capsys):
+    code, out, err = run(capsys, "selftest", "--cases", "-5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_input_error_exit_code(capsys):
     code, _, err = run(capsys, "factorize", "((a")
     assert code == 1
@@ -155,6 +162,15 @@ def test_batch_missing_file(capsys):
     code, _, err = run(capsys, "batch", "/nonexistent/file.txt")
     assert code == 1
     assert "error" in err
+
+
+def test_batch_not_utf8(tmp_path, capsys):
+    f = tmp_path / "batch.txt"
+    f.write_bytes(b"\xff\xfea\n")
+    code, out, err = run(capsys, "batch", str(f))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("engine, error", [

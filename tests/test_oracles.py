@@ -8,7 +8,6 @@ from ratword import (
     duval_factorize,
     is_prime_finite,
     is_prime_rational,
-    longest_prime_prefix_finite,
     parse_expr,
     primitive_root,
     word_equal,
@@ -75,12 +74,12 @@ def test_primitive_root_reconstructs():
 
 
 def test_longest_prime_prefix():
-    assert longest_prime_prefix_finite("abaab") == "ab"
-    assert longest_prime_prefix_finite("aabab") == "aabab"
-    assert longest_prime_prefix_finite("ba") == "b"
+    assert duval_factorize("abaab")[0] == "ab"
+    assert duval_factorize("aabab")[0] == "aabab"
+    assert duval_factorize("ba")[0] == "b"
     rng = random.Random(19)
     for _ in range(300):
         word = random_finite_word(rng, 12, "ab") or "a"
         best = max((word[:i] for i in range(1, len(word) + 1)
                     if is_prime_finite(word[:i])), key=len)
-        assert longest_prime_prefix_finite(word) == best == duval_factorize(word)[0]
+        assert duval_factorize(word)[0] == best

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ratword.ordinal import (Ordinal, OrdinalError, OrdKind, div_left,
-                             format_ordinal, parse_ordinal, sub_left)
+from ratword.ordinal import (Ordinal, OrdinalError, div_left, format_ordinal,
+                             parse_ordinal, sub_left)
 
 W = Ordinal.omega
 
@@ -108,18 +108,6 @@ def test_multiplication_examples():
 def test_order_examples():
     assert fin(0) < fin(1) < W() < W() + fin(1) < W(1, 2) < W(2)
     assert not W() < W()
-
-
-def test_classify():
-    assert fin(0).kind() is OrdKind.ZERO
-    assert fin(5).kind() is OrdKind.SUCCESSOR
-    assert (W(2) + fin(1)).kind() is OrdKind.SUCCESSOR
-    assert W().kind() is OrdKind.LIMIT
-    assert (W(2) + W()).kind() is OrdKind.LIMIT
-    assert W(3).is_power_of_omega()
-    assert fin(1).is_power_of_omega()
-    assert not fin(0).is_power_of_omega()
-    assert not W(1, 2).is_power_of_omega()
 
 
 def test_sub_left_examples():
