@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from .automaton import AutomatonError, compile_expr, numbered_word, to_dot
-from .duplication import tau
+from .duplication import depth, tau
 from .expr import ExprError, format_expr, parse_expr
 from .factorizer import FactorizeError, factorize, marked_expression
 from .gen import random_expr
@@ -30,9 +30,15 @@ class CliInputError(ValueError):
 
 def _parse(text: str):
     try:
-        return parse_expr(text)
+        e = parse_expr(text)
     except ExprError as err:
         raise CliInputError(str(err)) from None
+    # tau, compile_expr, format_expr and the structural engine recurse once
+    # per level of w-nesting and fail past the recursion limit; nesting that
+    # deep is refused up front, so every command fails on it the same way.
+    if depth(e) >= sys.getrecursionlimit():
+        raise CliInputError("expression nested too deeply")
+    return e
 
 
 def _factors_json(fact) -> list[dict]:

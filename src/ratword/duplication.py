@@ -26,9 +26,15 @@ def size(e: RatExpr) -> int:
 
 
 def depth(e: RatExpr) -> int:
-    """Nesting depth of w-powers."""
-    if isinstance(e, Letter):
-        return 0
-    if isinstance(e, Omega):
-        return 1 + depth(e.body)
-    return max(depth(p) for p in e.parts)
+    """Nesting depth of w-powers.  Iterative, so any nesting depth answers."""
+    deepest = 0
+    stack = [(e, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Omega):
+            stack.append((node.body, d + 1))
+        elif isinstance(node, Letter):
+            deepest = max(deepest, d)
+        else:
+            stack.extend((p, d) for p in node.parts)
+    return deepest

@@ -354,3 +354,34 @@ def _suffix(e: RatExpr, gamma: Ordinal) -> RatExpr:
 def as_finite_word(e: RatExpr) -> str | None:
     """The underlying string if e contains no w-power, else None."""
     return e.finite_word
+
+
+def word_expr(word: str) -> RatExpr:
+    """The expression of a non-empty finite word: its shared Letter, or a
+    flat Concat of shared Letters, as `concat` and `power` build it."""
+    if len(word) == 1:
+        return Letter(word)
+    return Concat(tuple(map(Letter, word)))
+
+
+def first_letters(e: RatExpr, n: int) -> str:
+    """The first n letters of e, or all of e when it is shorter.  Iterative,
+    and reads no further than it must: an w-power's first copy of a body
+    containing an w-power is already longer than any n."""
+    out: list[str] = []
+    stack = [e]
+    while stack and n > 0:
+        node = stack.pop()
+        word = node.finite_word
+        if word is None:
+            if type(node) is not Omega:
+                stack.extend(reversed(node.parts))
+                continue
+            word = node.body.finite_word
+            if word is None:
+                stack.append(node.body)
+                continue
+            word *= n // len(word) + 1
+        out.append(word[:n])
+        n -= len(word)
+    return "".join(out)

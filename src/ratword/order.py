@@ -1,9 +1,13 @@
 """Lexicographic comparison of rational words.
 
-Transfinite comparisons run the synchronized product of the two compiled
-automata; the trace position at divergence is the ordinal position of the
-first differing letter.  Purely finite expressions take a direct string
-path."""
+A finite word, given as an expression without w-power or as a plain str,
+is compared as a string.  Against a transfinite word it is compared with
+that word's first len(u) + 1 letters: the transfinite word is longer than
+any finite one, so the outcome (relation, position, letters) is the same as
+a comparison of the whole words, and no automaton is built.  Only two
+transfinite words run the synchronized product of their compiled automata;
+the trace position at divergence is the ordinal position of the first
+differing letter."""
 
 from __future__ import annotations
 
@@ -11,7 +15,8 @@ import enum
 from dataclasses import dataclass
 
 from .automaton import compile_expr
-from .expr import Alphabet, DEFAULT_ALPHABET, RatExpr, as_finite_word, expr_length
+from .expr import (Alphabet, DEFAULT_ALPHABET, RatExpr, as_finite_word, expr_length,
+                   first_letters)
 from .ordinal import Ordinal
 from .runner import BothEnded, Diverged, LeftEnded, RightEnded, run_to_divergence
 
@@ -64,17 +69,23 @@ def _compare_finite(u: str, v: str, alphabet: Alphabet) -> CompareOutcome:
     return CompareOutcome(rel, Ordinal.from_int(lo), (a, b))
 
 
-def compare(x: RatExpr, y: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:
-    u, v = as_finite_word(x), as_finite_word(y)
-    if u is not None and v is not None:
-        return _compare_finite(u, v, alphabet)
+def compare(x: RatExpr | str, y: RatExpr | str,
+            alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:
+    """Compare two words; either may be a finite word given as a str."""
+    u = x if type(x) is str else as_finite_word(x)
+    v = y if type(y) is str else as_finite_word(y)
+    if u is not None:
+        return _compare_finite(u, v if v is not None else first_letters(y, len(u) + 1),
+                               alphabet)
+    if v is not None:
+        return _compare_finite(first_letters(x, len(v) + 1), v, alphabet)
     return compare_via_automata(x, y, alphabet)
 
 
 def compare_via_automata(x: RatExpr, y: RatExpr,
                          alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:
-    """The product-run path of compare, without its finite fast path (tests
-    cross-check the two on finite words)."""
+    """The product-run path of compare, taken for any two expressions, finite
+    or not (tests cross-check it against compare's string paths)."""
     trace, outcome = run_to_divergence(compile_expr(x), compile_expr(y))
     if isinstance(outcome, Diverged):
         a, b = outcome.left_letter, outcome.right_letter
@@ -88,5 +99,5 @@ def compare_via_automata(x: RatExpr, y: RatExpr,
     return CompareOutcome(Rel.EQUAL)
 
 
-def word_equal(x: RatExpr, y: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
+def word_equal(x: RatExpr | str, y: RatExpr | str, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
     return compare(x, y, alphabet).is_equal

@@ -4,33 +4,63 @@ Factorizations of subexpressions are merged at their boundary (adjacent
 non-decreasing prime powers always combine into one), and an w-power is
 factorized by rotating its body's prime powers until one prime covers the
 whole cycle.  Entirely independent of the marking algorithm, which it
-cross-checks."""
+cross-checks.
+
+A prime without w-power may be held as a plain str: the engine enters each
+letter that follows a letter in a concatenation as one.  Two str primes
+compare as strings, and u^a v^b with finite a and b is the str u*a + v*b, so
+merging finite primes is string work.  A str becomes an expression only where
+a merge meets a transfinite exponent or operand, and at the end: every prime
+returned is a shared Letter, a flat Concat of them, or a transfinite
+expression.  The helpers below take primes in either form; given
+expressions only, they return expressions only."""
 
 from __future__ import annotations
 
 from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
-                   as_finite_word, concat, format_expr, power)
+                   as_finite_word, concat, format_expr, power, word_expr)
 from .factorizer import Factorization
-from .order import CompareOutcome, compare, word_equal
+from .order import CompareOutcome, _compare_finite, compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
+
+Prime = RatExpr | str
 
 
 class StructuralError(RuntimeError):
     pass
 
 
-def concat_pp(u: RatExpr, alpha: Ordinal, v: RatExpr, beta: Ordinal,
+def _expr(p: Prime) -> RatExpr:
+    return word_expr(p) if type(p) is str else p
+
+
+def _compare(u: Prime, v: Prime, alphabet: Alphabet) -> CompareOutcome:
+    """compare(u, v); two str primes are compared as strings directly."""
+    if type(u) is str and type(v) is str:
+        return _compare_finite(u, v, alphabet)
+    return compare(u, v, alphabet)
+
+
+def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
               alphabet: Alphabet = DEFAULT_ALPHABET,
-              out: CompareOutcome | None = None) -> tuple[RatExpr, Ordinal]:
+              out: CompareOutcome | None = None) -> tuple[Prime, Ordinal]:
     """Combine u^alpha v^beta (u, v prime, u <=lex v) into a single prime power.
-    `out` is compare(u, v) when the caller already has it."""
+    `out` is compare(u, v) when the caller already has it.  When u or v is a
+    str, a finite result is a str."""
     if out is None:
-        out = compare(u, v, alphabet)
+        out = _compare(u, v, alphabet)
     if out.is_equal:
-        return v, alpha + beta
+        # equal words: keep u when v is a str, so a Letter u needs no conversion
+        return (u if type(v) is str else v), alpha + beta
     if not out.left_lt:
         raise StructuralError(
-            f"concat_pp needs {format_expr(u)} <=lex {format_expr(v)}")
+            f"concat_pp needs {format_expr(_expr(u))} <=lex {format_expr(_expr(v))}")
+    if type(u) is str or type(v) is str:
+        x = u if type(u) is str else as_finite_word(u)
+        y = v if type(v) is str else as_finite_word(v)
+        if x is not None and y is not None and alpha.is_finite and beta.is_finite:
+            return x * alpha.to_int() + y * beta.to_int(), ONE
+        u, v = _expr(u), _expr(v)
     # u^alpha is absorbed by v when u^alpha v = v: the result is v^beta.  A
     # finite v never absorbs, since |u^alpha v| > |v|.
     if as_finite_word(v) is None and word_equal(concat([power(u, alpha), v]), v, alphabet):
@@ -38,15 +68,15 @@ def concat_pp(u: RatExpr, alpha: Ordinal, v: RatExpr, beta: Ordinal,
     return concat([power(u, alpha), power(v, beta)]), ONE
 
 
-def fact_product(left: list[tuple[RatExpr, Ordinal]],
-                 right: list[tuple[RatExpr, Ordinal]],
-                 alphabet: Alphabet = DEFAULT_ALPHABET) -> list[tuple[RatExpr, Ordinal]]:
+def fact_product(left: list[tuple[Prime, Ordinal]],
+                 right: list[tuple[Prime, Ordinal]],
+                 alphabet: Alphabet = DEFAULT_ALPHABET) -> list[tuple[Prime, Ordinal]]:
     """Factorization of a product from factorizations of the parts; only
     boundary blocks can merge, repeatedly."""
     blocks = list(left)
     for v, beta in right:
         while blocks:
-            out = compare(blocks[-1][0], v, alphabet)
+            out = _compare(blocks[-1][0], v, alphabet)
             if not out.left_le:
                 break
             u, alpha = blocks.pop()
@@ -55,9 +85,9 @@ def fact_product(left: list[tuple[RatExpr, Ordinal]],
     return blocks
 
 
-def circular_fact(blocks: list[tuple[RatExpr, Ordinal]],
+def circular_fact(blocks: list[tuple[Prime, Ordinal]],
                   alphabet: Alphabet = DEFAULT_ALPHABET
-                  ) -> tuple[int, RatExpr, Ordinal]:
+                  ) -> tuple[int, Prime, Ordinal]:
     """Rotate a cyclic sequence of prime powers into a single prime power.
 
     Returns (k, v, beta) with v^beta the product of blocks k+1..n, 1..k and
@@ -68,7 +98,7 @@ def circular_fact(blocks: list[tuple[RatExpr, Ordinal]],
     if n == 0:
         raise StructuralError("no blocks to rotate")
     # carry original 1-based start positions so k can be recovered at the end
-    ring: list[tuple[int, RatExpr, Ordinal]] = [
+    ring: list[tuple[int, Prime, Ordinal]] = [
         (idx + 1, p, a) for idx, (p, a) in enumerate(blocks)]
     guard = n * n + n + 1
     while len(ring) > 1:
@@ -79,7 +109,7 @@ def circular_fact(blocks: list[tuple[RatExpr, Ordinal]],
             nxt = (pos + 1) % len(ring)
             s1, u, alpha = ring[pos]
             _, v, beta = ring[nxt]
-            out = compare(u, v, alphabet)
+            out = _compare(u, v, alphabet)
             if out.left_le:
                 w, gamma = concat_pp(u, alpha, v, beta, alphabet, out)
                 if nxt == 0:
@@ -92,13 +122,13 @@ def circular_fact(blocks: list[tuple[RatExpr, Ordinal]],
             raise StructuralError("strictly decreasing cycle is impossible")
     start, v, beta = ring[0]
     k = start - 1 if start > 1 else n
-    if not compare(v, blocks[k - 1][0], alphabet).left_le:
+    if not _compare(v, blocks[k - 1][0], alphabet).left_le:
         raise StructuralError("rotated prime exceeds its pivot")
     return k, v, beta
 
 
-def fact_omega(blocks: list[tuple[RatExpr, Ordinal]],
-               alphabet: Alphabet = DEFAULT_ALPHABET) -> list[tuple[RatExpr, Ordinal]]:
+def fact_omega(blocks: list[tuple[Prime, Ordinal]],
+               alphabet: Alphabet = DEFAULT_ALPHABET) -> list[tuple[Prime, Ordinal]]:
     """Factorization of x^w from the factorization of x."""
     if len(blocks) == 1:
         u, alpha = blocks[0]
@@ -107,20 +137,33 @@ def fact_omega(blocks: list[tuple[RatExpr, Ordinal]],
     if k == len(blocks):
         raise StructuralError("rotation covered the whole cycle twice")
     u_k, alpha_k = blocks[k - 1]
-    if word_equal(v, u_k, alphabet):
+    if _compare(v, u_k, alphabet).is_equal:
         return blocks[:k - 1] + [(v, alpha_k + beta * OMEGA)]
     return blocks[:k] + [(v, beta * OMEGA)]
 
 
 def factorize_structural(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> Factorization:
-    def go(node: RatExpr) -> list[tuple[RatExpr, Ordinal]]:
-        if isinstance(node, Letter):
-            return [(node, ONE)]
-        if isinstance(node, Omega):
-            return fact_omega(go(node.body), alphabet)
-        out: list[tuple[RatExpr, Ordinal]] = []
-        for p in node.parts:
-            out = fact_product(out, go(p), alphabet)
-        return out
+    words = False      # whether a letter was entered as a str prime
 
-    return Factorization(tuple(go(e)))
+    def go(node: RatExpr) -> list[tuple[Prime, Ordinal]]:
+        nonlocal words
+        if type(node) is Letter:
+            return [(node, ONE)]
+        if type(node) is Omega:
+            return fact_omega(go(node.body), alphabet)
+        # one product of all the parts' blocks: fact_product folds over them
+        right: list[tuple[Prime, Ordinal]] = []
+        prev = None
+        for p in node.parts:
+            if type(p) is Letter and type(prev) is Letter:
+                words = True
+                right.append((p.sym, ONE))
+            else:
+                right += go(p)
+            prev = p
+        return fact_product([], right, alphabet)
+
+    blocks = go(e)
+    if words:
+        blocks = [(_expr(p), alpha) for p, alpha in blocks]
+    return Factorization(tuple(blocks))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
 from ratword.expr import (Concat, ExprError, Letter, Omega, as_finite_word, concat,
-                          expr_length, format_expr, letter_at, parse_expr,
-                          power, prefix_to, suffix_from)
+                          expr_length, first_letters, format_expr, letter_at, parse_expr,
+                          power, prefix_to, suffix_from, word_expr)
 from ratword.gen import random_expr, random_ordinal
 from ratword.order import word_equal
 from ratword.ordinal import Ordinal, ZERO
@@ -181,6 +181,34 @@ def test_node_semantics(seed):
             with pytest.raises(AttributeError):
                 delattr(x, field)
             assert getattr(x, field) is value
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 40))
+def test_first_letters_reads_letter_by_letter(seed, n):
+    """first_letters(e, n) is the first n letters of e, read one position at
+    a time with letter_at; all of e when e is a shorter finite word."""
+    e = random_expr(random.Random(seed), max_size=10, max_depth=3, letters="abc")
+    length = expr_length(e)
+    expected = "".join(letter_at(e, fin(i)) for i in range(n) if fin(i) < length)
+    assert first_letters(e, n) == expected
+
+
+def test_first_letters_examples():
+    assert first_letters(parse_expr("(ab)^wc"), 5) == "ababa"
+    assert first_letters(parse_expr("((a^wb)^w)^w"), 3) == "aaa"
+    assert first_letters(parse_expr("abc"), 10) == "abc"
+    assert first_letters(parse_expr("a^w"), 0) == ""
+    deep = parse_expr("(" * 5000 + "ab" + ")^w" * 5000)
+    assert first_letters(deep, 3) == "aba"
+
+
+def test_word_expr_builds_what_concat_builds():
+    for word in ["a", "ab", "bba", "abcabc"]:
+        e = word_expr(word)
+        assert e == parse_expr(word) and repr(e) == repr(parse_expr(word))
+        parts = (e,) if len(word) == 1 else e.parts
+        assert all(p is Letter(p.sym) for p in parts)
 
 
 def test_letters_are_shared():

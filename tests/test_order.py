@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import compile_expr
 from ratword.duplication import tau
-from ratword.expr import Alphabet, concat, letter_at, parse_expr, prefix_to
+from ratword.expr import (Alphabet, Letter, Omega, as_finite_word, concat, letter_at,
+                          parse_expr, prefix_to)
 from ratword.gen import random_expr, random_finite_word
 from ratword.order import Rel, _compare_finite, compare, compare_via_automata, word_equal
 from ratword.ordinal import Ordinal, parse_ordinal
@@ -69,6 +70,46 @@ def test_finite_agreement_with_plain_strings(seed):
     assert fast.rel is slow.rel
     assert fast.position == slow.position
     assert fast.letters == slow.letters
+
+
+def finite_and_transfinite(rng, as_prefix):
+    """(u, x): a finite expression u and a transfinite expression x.  With
+    as_prefix, u is x's prefix of a random finite length, perhaps followed
+    by one random letter, so both prefix outcomes and a divergence right
+    after the prefix come up."""
+    x = random_expr(rng, max_size=10, max_depth=3, letters="abc")
+    if as_finite_word(x) is not None:
+        x = concat([x, Omega(random_expr(rng, max_size=4, max_depth=1, letters="abc"))])
+    if not as_prefix:
+        return parse_expr(random_finite_word(rng, 12, "abc")), x
+    u = prefix_to(x, fin(rng.randint(1, 14)))
+    if rng.random() < 0.5:
+        u = concat([u, Letter(rng.choice("abc"))])
+    return u, x
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 10**6), st.booleans())
+def test_finite_against_transfinite_agrees_with_automata(seed, as_prefix):
+    """A finite side, as an expression or as a str, against a transfinite
+    side, in both orders: the string path of compare gives the product run's
+    relation, position and letters."""
+    u, x = finite_and_transfinite(random.Random(seed), as_prefix)
+    word = as_finite_word(u)
+    for left, right, left_word, right_word in ((u, x, word, x), (x, u, x, word)):
+        slow = compare_via_automata(left, right)
+        for fast in (compare(left, right), compare(left_word, right_word)):
+            assert (fast.rel, fast.position, fast.letters) == \
+                (slow.rel, slow.position, slow.letters)
+
+
+def test_finite_against_transfinite_examples():
+    out = compare("aab", parse_expr("a^w"))
+    assert (out.rel, out.position, out.letters) == (Rel.GREATER, fin(2), ("b", "a"))
+    out = compare(parse_expr("(ab)^w"), "aba")
+    assert (out.rel, out.position) == (Rel.RIGHT_PREFIX, fin(3))
+    out = compare("abab", parse_expr("(ab)^wc"))
+    assert (out.rel, out.position) == (Rel.LEFT_PREFIX, fin(4))
 
 
 def compare_finite_reference(u, v, alphabet):
