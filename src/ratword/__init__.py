@@ -1,7 +1,7 @@
 """Prime (Lyndon) factorization of transfinite rational words."""
 
-from .automaton import (SingleWordAutomaton, compile_expr, first_visit_prefix,
-                        numbered_word, render_tokens, suffix_word, to_dot, validate)
+from .automaton import (SingleWordAutomaton, compile_expr, numbered_word, render_tokens,
+                        suffix_word, to_dot, validate)
 from .duplication import depth, size, tau
 from .expr import (Alphabet, Concat, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
                    as_finite_word, concat, expr_length, format_expr, letter_at,

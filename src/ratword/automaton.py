@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .expr import Letter, Omega, RatExpr, concat, expr_length, prefix_to, suffix_from
-from .ordinal import OMEGA, ZERO, Ordinal
+from .ordinal import OMEGA, ZERO
 
 
 class AutomatonError(RuntimeError):
@@ -182,15 +182,6 @@ def expr_of_range(auto: SingleWordAutomaton, lo: int, hi: int) -> RatExpr:
             body.reverse()
             parts.append((val, Omega(concat(body))))
     return concat([p for _, p in parts])
-
-
-def first_visit_prefix(auto: SingleWordAutomaton, s: int) -> tuple[Ordinal, RatExpr]:
-    """Position at which the accepting run first reaches state s (1 <= s <= n),
-    together with the prefix read up to that point."""
-    if not 1 <= s <= auto.n:
-        raise AutomatonError(f"state {s} out of range")
-    prefix = expr_of_range(auto, 0, s)
-    return expr_length(prefix), prefix
 
 
 def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:

@@ -24,6 +24,9 @@ from .runner import TraceError
 from .structural import StructuralError, factorize_structural
 
 
+NESTED_TOO_DEEPLY = "expression nested too deeply"
+
+
 class CliInputError(ValueError):
     pass
 
@@ -37,7 +40,7 @@ def _parse(text: str):
     # per level of w-nesting and fail past the recursion limit; nesting that
     # deep is refused up front, so every command fails on it the same way.
     if depth(e) >= sys.getrecursionlimit():
-        raise CliInputError("expression nested too deeply")
+        raise CliInputError(NESTED_TOO_DEEPLY)
     return e
 
 
@@ -150,7 +153,7 @@ def cmd_batch(args) -> int:
             record["ok"] = True
         except Exception as err:  # noqa: BLE001 - errors never abort the batch
             record["ok"] = False
-            record["error"] = str(err)
+            record["error"] = NESTED_TOO_DEEPLY if isinstance(err, RecursionError) else str(err)
         record["ms"] = round((time.perf_counter() - t0) * 1000, 3)
         print(json.dumps(record))
     return 0
@@ -232,7 +235,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
+        print(f"error: {NESTED_TOO_DEEPLY}", file=sys.stderr)
         return 1
     except (FactorizeError, StructuralError, AutomatonError, TraceError, OrdinalError,
             AssertionError) as err:

@@ -45,8 +45,9 @@ class RatExpr:
     __dict__.  A Concat or Omega node works out its hash on the first
     `hash()`, from its children's stored hashes, and keeps it; a Letter is
     made, and hashed, once per symbol.  Each node's `finite_word` is the
-    string it denotes when it contains no w-power, else None; it is not a
-    field, so equality, hashing and repr ignore it."""
+    string it denotes when it contains no w-power, else None; it is worked
+    out on every read and kept nowhere, so equality, hashing and repr
+    ignore it."""
     __slots__ = ("_hash",)
 
     def __setattr__(self, name: str, value) -> None:
@@ -97,7 +98,7 @@ class Letter(RatExpr):
 
 
 class Concat(RatExpr):
-    __slots__ = ("parts", "_word")
+    __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[RatExpr, ...]) -> None:
         if len(parts) < 2:
@@ -108,14 +109,10 @@ class Concat(RatExpr):
 
     @property
     def finite_word(self) -> str | None:
-        try:
-            return self._word
-        except AttributeError:
-            # flattened parts: without an w-power, every part is a Letter
-            word = None if Omega in map(type, self.parts) else \
-                "".join(map(attrgetter("sym"), self.parts))
-            _set(self, "_word", word)
-            return word
+        # flattened parts: without an w-power, every part is a Letter
+        if Omega in map(type, self.parts):
+            return None
+        return "".join(map(attrgetter("sym"), self.parts))
 
     def __eq__(self, other) -> bool:
         if self is other:

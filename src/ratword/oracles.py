@@ -3,7 +3,7 @@ primality checks used to cross-validate both factorization engines."""
 
 from __future__ import annotations
 
-from .automaton import compile_expr, first_visit_prefix, suffix_word
+from .automaton import compile_expr, expr_of_range, suffix_word
 from .expr import (Alphabet, DEFAULT_ALPHABET, RatExpr, as_finite_word,
                    expr_length, power, prefix_to)
 from .order import Rel, compare, word_equal
@@ -75,8 +75,8 @@ def primitive_root(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET
     """Shortest y with y^alpha the same word as e, together with alpha.
 
     Candidate roots are prefixes whose length divides |e| on the left:
-    finite divisors of the leading coefficient, plus every first-visit prefix
-    of the compiled automaton."""
+    finite divisors of the leading coefficient, plus the length of the
+    prefix read until the compiled automaton first reaches each state."""
     length = expr_length(e)
     candidates: list[Ordinal] = []
     lead_exp, lead_coeff = length.terms[0]
@@ -87,8 +87,7 @@ def primitive_root(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET
             candidates.append(Ordinal(((lead_exp, lead_coeff // d),) + length.terms[1:]))
     auto = compile_expr(e)
     for s in range(1, auto.n):
-        pos, _ = first_visit_prefix(auto, s)
-        candidates.append(pos)
+        candidates.append(expr_length(expr_of_range(auto, 0, s)))
 
     best: tuple[Ordinal, RatExpr, Ordinal] | None = None
     for cand in candidates:

@@ -3,24 +3,25 @@
 Factorizations of subexpressions are merged at their boundary (adjacent
 non-decreasing prime powers always combine into one), and an w-power is
 factorized by rotating its body's prime powers until one prime covers the
-whole cycle.  Entirely independent of the marking algorithm, which it
-cross-checks.
+whole cycle.  It never runs the marking algorithm, which it cross-checks;
+but a compare of two transfinite primes runs the product of their compiled
+automata in `runner`, as the marking algorithm's steps do.
 
-A prime without w-power may be held as a plain str: the engine enters each
-letter that follows a letter in a concatenation as one.  Two str primes
-compare as strings, and u^a v^b with finite a and b is the str u*a + v*b, so
-merging finite primes is string work.  A str becomes an expression only where
-a merge meets a transfinite exponent or operand, and at the end: every prime
-returned is a shared Letter, a flat Concat of them, or a transfinite
-expression.  The helpers below take primes in either form; given
-expressions only, they return expressions only."""
+Inside `factorize_structural` a prime is a plain str exactly when it has no
+w-power: every letter enters as its symbol, and u^a v^b with two str primes
+and finite a and b is the str u*a + v*b, so merging finite primes is string
+work.  A str becomes an expression only where a merge meets a transfinite
+exponent or operand, and at the end, where every prime returned is a shared
+Letter, a flat Concat of them, or a transfinite expression.  The helpers
+below take primes in either form; given expressions only, they return
+expressions only."""
 
 from __future__ import annotations
 
 from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
                    as_finite_word, concat, format_expr, power, word_expr)
 from .factorizer import Factorization
-from .order import CompareOutcome, _compare_finite, compare, word_equal
+from .order import CompareOutcome, compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
 
 Prime = RatExpr | str
@@ -34,33 +35,22 @@ def _expr(p: Prime) -> RatExpr:
     return word_expr(p) if type(p) is str else p
 
 
-def _compare(u: Prime, v: Prime, alphabet: Alphabet) -> CompareOutcome:
-    """compare(u, v); two str primes are compared as strings directly."""
-    if type(u) is str and type(v) is str:
-        return _compare_finite(u, v, alphabet)
-    return compare(u, v, alphabet)
-
-
 def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
               alphabet: Alphabet = DEFAULT_ALPHABET,
               out: CompareOutcome | None = None) -> tuple[Prime, Ordinal]:
     """Combine u^alpha v^beta (u, v prime, u <=lex v) into a single prime power.
-    `out` is compare(u, v) when the caller already has it.  When u or v is a
-    str, a finite result is a str."""
+    `out` is compare(u, v) when the caller already has it.  Two str primes
+    with finite exponents give a str."""
     if out is None:
-        out = _compare(u, v, alphabet)
+        out = compare(u, v, alphabet)
     if out.is_equal:
-        # equal words: keep u when v is a str, so a Letter u needs no conversion
-        return (u if type(v) is str else v), alpha + beta
+        return v, alpha + beta
     if not out.left_lt:
         raise StructuralError(
             f"concat_pp needs {format_expr(_expr(u))} <=lex {format_expr(_expr(v))}")
-    if type(u) is str or type(v) is str:
-        x = u if type(u) is str else as_finite_word(u)
-        y = v if type(v) is str else as_finite_word(v)
-        if x is not None and y is not None and alpha.is_finite and beta.is_finite:
-            return x * alpha.to_int() + y * beta.to_int(), ONE
-        u, v = _expr(u), _expr(v)
+    if type(u) is str and type(v) is str and alpha.is_finite and beta.is_finite:
+        return u * alpha.to_int() + v * beta.to_int(), ONE
+    u, v = _expr(u), _expr(v)
     # u^alpha is absorbed by v when u^alpha v = v: the result is v^beta.  A
     # finite v never absorbs, since |u^alpha v| > |v|.
     if as_finite_word(v) is None and word_equal(concat([power(u, alpha), v]), v, alphabet):
@@ -76,7 +66,7 @@ def fact_product(left: list[tuple[Prime, Ordinal]],
     blocks = list(left)
     for v, beta in right:
         while blocks:
-            out = _compare(blocks[-1][0], v, alphabet)
+            out = compare(blocks[-1][0], v, alphabet)
             if not out.left_le:
                 break
             u, alpha = blocks.pop()
@@ -90,9 +80,10 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]],
                   ) -> tuple[int, Prime, Ordinal]:
     """Rotate a cyclic sequence of prime powers into a single prime power.
 
-    Returns (k, v, beta) with v^beta the product of blocks k+1..n, 1..k and
-    v <=lex the k-th prime.  Cyclically adjacent non-decreasing neighbours are
-    merged until one block remains; merging across the wrap moves the start.
+    Returns (k, v, beta) with v^beta the product of blocks k+1..n, 1..k;
+    v <=lex the k-th prime, which fact_omega checks.  Cyclically adjacent
+    non-decreasing neighbours are merged until one block remains; merging
+    across the wrap moves the start.
     """
     n = len(blocks)
     if n == 0:
@@ -109,7 +100,7 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]],
             nxt = (pos + 1) % len(ring)
             s1, u, alpha = ring[pos]
             _, v, beta = ring[nxt]
-            out = _compare(u, v, alphabet)
+            out = compare(u, v, alphabet)
             if out.left_le:
                 w, gamma = concat_pp(u, alpha, v, beta, alphabet, out)
                 if nxt == 0:
@@ -121,10 +112,7 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]],
         else:
             raise StructuralError("strictly decreasing cycle is impossible")
     start, v, beta = ring[0]
-    k = start - 1 if start > 1 else n
-    if not _compare(v, blocks[k - 1][0], alphabet).left_le:
-        raise StructuralError("rotated prime exceeds its pivot")
-    return k, v, beta
+    return (start - 1 if start > 1 else n), v, beta
 
 
 def fact_omega(blocks: list[tuple[Prime, Ordinal]],
@@ -134,36 +122,24 @@ def fact_omega(blocks: list[tuple[Prime, Ordinal]],
         u, alpha = blocks[0]
         return [(u, alpha * OMEGA)]
     k, v, beta = circular_fact(blocks, alphabet)
+    u_k, alpha_k = blocks[k - 1]
+    out = compare(v, u_k, alphabet)
+    if not out.left_le:
+        raise StructuralError("rotated prime exceeds its pivot")
     if k == len(blocks):
         raise StructuralError("rotation covered the whole cycle twice")
-    u_k, alpha_k = blocks[k - 1]
-    if _compare(v, u_k, alphabet).is_equal:
+    if out.is_equal:
         return blocks[:k - 1] + [(v, alpha_k + beta * OMEGA)]
     return blocks[:k] + [(v, beta * OMEGA)]
 
 
 def factorize_structural(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> Factorization:
-    words = False      # whether a letter was entered as a str prime
-
     def go(node: RatExpr) -> list[tuple[Prime, Ordinal]]:
-        nonlocal words
         if type(node) is Letter:
-            return [(node, ONE)]
+            return [(node.sym, ONE)]
         if type(node) is Omega:
             return fact_omega(go(node.body), alphabet)
         # one product of all the parts' blocks: fact_product folds over them
-        right: list[tuple[Prime, Ordinal]] = []
-        prev = None
-        for p in node.parts:
-            if type(p) is Letter and type(prev) is Letter:
-                words = True
-                right.append((p.sym, ONE))
-            else:
-                right += go(p)
-            prev = p
-        return fact_product([], right, alphabet)
+        return fact_product([], [b for p in node.parts for b in go(p)], alphabet)
 
-    blocks = go(e)
-    if words:
-        blocks = [(_expr(p), alpha) for p, alpha in blocks]
-    return Factorization(tuple(blocks))
+    return Factorization(tuple((_expr(p), alpha) for p, alpha in go(e)))

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import (AutomatonError, MissingLimitError, SharpAutomaton,
                                SingleWordAutomaton, compile_expr, expr_of_range,
-                               first_visit_prefix, numbered_word, suffix_word,
-                               to_dot, validate)
+                               numbered_word, suffix_word, to_dot, validate)
 from ratword.duplication import tau
-from ratword.expr import expr_length, format_expr, parse_expr, suffix_from
+from ratword.expr import expr_length, format_expr, parse_expr, prefix_to, suffix_from
 from ratword.factorizer import marked_expression
 from ratword.gen import random_expr
 from ratword.order import word_equal
@@ -135,14 +134,14 @@ def test_sharp_shape():
 
 
 def test_first_visit_prefix():
+    """The prefix read until the run first reaches state s is the token
+    range [0, s)."""
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
-    pos, pref = first_visit_prefix(auto, 4)
-    assert pos == W() + fin(1)
+    pref = expr_of_range(auto, 0, 4)
+    assert expr_length(pref) == W() + fin(1)
     assert word_equal(pref, parse_expr("aa^wb"))
-    pos, _ = first_visit_prefix(auto, 9)
-    assert pos == W(2)
-    pos, _ = first_visit_prefix(auto, 12)
-    assert pos == W(2) + W()
+    assert expr_length(expr_of_range(auto, 0, 9)) == W(2)
+    assert expr_length(expr_of_range(auto, 0, 12)) == W(2) + W()
 
 
 def test_expr_of_range_rejects_crossing_group():
@@ -178,9 +177,11 @@ def test_random_roundtrip_and_suffixes(seed):
     assert validate(auto) == []
     assert validate(compile_expr(tau(e))) == []
     assert word_equal(suffix_word(auto, 0), e)
-    # the word read from any state matches the positional suffix
+    # the words read up to and from any state match the positional prefix
+    # and suffix
     for q in range(1, auto.n):
-        pos, pref = first_visit_prefix(auto, q)
-        assert expr_length(pref) == pos
+        pref = expr_of_range(auto, 0, q)
+        pos = expr_length(pref)
+        assert word_equal(pref, prefix_to(e, pos))
         if pos < expr_length(e):
             assert word_equal(suffix_word(auto, q), suffix_from(e, pos))

@@ -158,6 +158,21 @@ def test_deep_nesting_is_an_input_error(capsys, argv):
     assert err == "error: expression nested too deeply\n"
 
 
+def test_batch_records_deep_nesting(tmp_path, capsys):
+    """A line nested past the recursion limit, and one whose tau recurses
+    past it, are recorded with the message the other commands print."""
+    tall = "ab"
+    for _ in range(600):
+        tall = f"({tall})^wb"
+    f = tmp_path / "batch.txt"
+    f.write_text(f"{DEEP}\n{tall}\na\n")
+    code, out, _ = run(capsys, "batch", str(f))
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["ok"], r.get("error")) for r in records] == \
+        [(False, "expression nested too deeply")] * 2 + [(True, None)]
+
+
 def test_batch_missing_file(capsys):
     code, _, err = run(capsys, "batch", "/nonexistent/file.txt")
     assert code == 1

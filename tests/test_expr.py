@@ -134,8 +134,8 @@ def test_cached_projection_matches_recursive_walk(seed):
     for x in derived_exprs(seed):
         text, h, r = format_expr(x), hash(x), repr(x)
         assert as_finite_word(x) == finite_word_reference(x)
-        assert as_finite_word(x) == finite_word_reference(x)  # the cached read
-        # the cached value is not a field: hash, equality and repr ignore it
+        assert as_finite_word(x) == finite_word_reference(x)  # a second read
+        # the projection is not a field: hash, equality and repr ignore it
         assert hash(x) == h and repr(x) == r
         assert x == parse_expr(text) and hash(parse_expr(text)) == h
 

@@ -212,3 +212,41 @@ def test_primes_are_expressions(seed, finite):
         (v, beta), (u, alpha) = fx[0], fx[1]
         w, _ = concat_pp(u, alpha, v, beta)
         assert_expression_prime(w)
+
+
+def test_fact_omega_rejects_a_rotation_above_its_pivot(monkeypatch):
+    """fact_omega checks circular_fact's postcondition, v <=lex the k-th
+    prime, with the one compare it also reads the equal case from."""
+    monkeypatch.setattr(structural, "circular_fact", lambda blocks, alphabet: (1, "c", ONE))
+    with pytest.raises(StructuralError, match="exceeds its pivot"):
+        fact_omega([("b", Ordinal.from_int(2)), ("a", ONE)])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10**6), st.booleans())
+def test_a_prime_is_a_str_exactly_when_it_is_finite(seed, finite):
+    """Every block fact_product and fact_omega take or give inside
+    factorize_structural holds a str prime when the prime has no w-power,
+    and an expression with an w-power otherwise."""
+    seen: list[tuple] = []
+
+    def recording(f):
+        def wrapper(*args):
+            result = f(*args)
+            for blocks in [a for a in args if type(a) is list] + [result]:
+                seen.extend(blocks)
+            return result
+        return wrapper
+
+    rng = random.Random(seed)
+    if finite:
+        e = E("".join(rng.choice("abc") for _ in range(rng.randint(1, 400))))
+    else:
+        e = random_expr(rng, max_size=12, max_depth=3, letters="abc")
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fact_product", "fact_omega"):
+            mp.setattr(structural, name, recording(getattr(structural, name)))
+        blocks = factorize_structural(e).blocks
+    assert seen or len(blocks) == 1
+    for p, _ in seen:
+        assert type(p) is str or as_finite_word(p) is None, p
