@@ -34,7 +34,11 @@ class Alphabet:
             raise ExprError(f"letter {a!r} not in alphabet") from None
 
     def lt(self, a: str, b: str) -> bool:
-        return self.rank(a) < self.rank(b)
+        rank = self._rank
+        try:
+            return rank[a] < rank[b]
+        except KeyError as missing:
+            raise ExprError(f"letter {missing.args[0]!r} not in alphabet") from None
 
 
 DEFAULT_ALPHABET = Alphabet()

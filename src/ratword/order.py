@@ -7,12 +7,16 @@ any finite one, so the outcome (relation, position, letters) is the same as
 a comparison of the whole words, and no automaton is built.  Only two
 transfinite words run the synchronized product of their compiled automata;
 the trace position at divergence is the ordinal position of the first
-differing letter."""
+differing letter.
+
+The structural engine makes up to two compares per letter of a finite word,
+so a string compare allocates little beyond the string work: one outcome
+tuple and one Ordinal, and none for equal words, which share one outcome."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .automaton import compile_expr
 from .expr import (Alphabet, DEFAULT_ALPHABET, RatExpr, as_finite_word, expr_length,
@@ -29,33 +33,67 @@ class Rel(enum.Enum):
     RIGHT_PREFIX = "> (prefix)"
 
 
-@dataclass(frozen=True)
-class CompareOutcome:
-    rel: Rel
-    position: Ordinal | None = None          # first difference, when letters differ
-    letters: tuple[str, str] | None = None
+# Each Rel.X is an attribute lookup on the enum class; these are read once.
+_LESS, _GREATER, _EQUAL = Rel.LESS, Rel.GREATER, Rel.EQUAL
+_LEFT_PREFIX, _RIGHT_PREFIX = Rel.LEFT_PREFIX, Rel.RIGHT_PREFIX
 
-    @property
-    def is_equal(self) -> bool:
-        return self.rel is Rel.EQUAL
 
-    @property
-    def left_le(self) -> bool:
-        """Left word <=lex right word (a proper prefix is smaller)."""
-        return self.rel in (Rel.LESS, Rel.EQUAL, Rel.LEFT_PREFIX)
+class CompareOutcome(tuple):
+    """The outcome of a comparison: rel, and for words that differ the
+    position of the first difference and, when letters differ there, the
+    pair (left letter, right letter).
 
-    @property
-    def left_lt(self) -> bool:
-        return self.rel in (Rel.LESS, Rel.LEFT_PREFIX)
+    An immutable value of (rel, position, letters): equality, hash, repr,
+    pickling and copying go by those three fields.  It is a tuple that also
+    holds the flags is_equal, left_le (left word <=lex right word; a proper
+    prefix is smaller) and left_lt, worked out once when it is built, so
+    reading any field runs no Python function."""
+    __slots__ = ()
+
+    def __new__(cls, rel: Rel, position: Ordinal | None = None,
+                letters: tuple[str, str] | None = None) -> CompareOutcome:
+        return tuple.__new__(cls, (rel, position, letters, rel is _EQUAL,
+                                   rel is _LESS or rel is _EQUAL or rel is _LEFT_PREFIX,
+                                   rel is _LESS or rel is _LEFT_PREFIX))
+
+    rel = property(itemgetter(0))
+    position = property(itemgetter(1))
+    letters = property(itemgetter(2))
+    is_equal = property(itemgetter(3))
+    left_le = property(itemgetter(4))
+    left_lt = property(itemgetter(5))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__ne__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
+
+    def __reduce__(self):
+        return CompareOutcome, self[:3]
+
+    def __repr__(self) -> str:
+        return (f"CompareOutcome(rel={self[0]!r}, position={self[1]!r}, "
+                f"letters={self[2]!r})")
+
+
+_EQUAL_OUTCOME = CompareOutcome(_EQUAL)
 
 
 def _compare_finite(u: str, v: str, alphabet: Alphabet) -> CompareOutcome:
     if u == v:
-        return CompareOutcome(Rel.EQUAL)
+        return _EQUAL_OUTCOME
     if v.startswith(u):
-        return CompareOutcome(Rel.LEFT_PREFIX, Ordinal.from_int(len(u)))
+        return CompareOutcome(_LEFT_PREFIX, Ordinal.from_int(len(u)))
     if u.startswith(v):
-        return CompareOutcome(Rel.RIGHT_PREFIX, Ordinal.from_int(len(v)))
+        return CompareOutcome(_RIGHT_PREFIX, Ordinal.from_int(len(v)))
     # binary search for the first mismatch: u[:lo] == v[:lo], u[:hi] != v[:hi]
     lo, hi = 0, min(len(u), len(v))
     while hi - lo > 1:
@@ -65,7 +103,7 @@ def _compare_finite(u: str, v: str, alphabet: Alphabet) -> CompareOutcome:
         else:
             hi = mid
     a, b = u[lo], v[lo]
-    rel = Rel.LESS if alphabet.lt(a, b) else Rel.GREATER
+    rel = _LESS if alphabet.lt(a, b) else _GREATER
     return CompareOutcome(rel, Ordinal.from_int(lo), (a, b))
 
 
@@ -89,14 +127,14 @@ def compare_via_automata(x: RatExpr, y: RatExpr,
     trace, outcome = run_to_divergence(compile_expr(x), compile_expr(y))
     if isinstance(outcome, Diverged):
         a, b = outcome.left_letter, outcome.right_letter
-        rel = Rel.LESS if alphabet.lt(a, b) else Rel.GREATER
+        rel = _LESS if alphabet.lt(a, b) else _GREATER
         return CompareOutcome(rel, trace.position(-1), (a, b))
     if isinstance(outcome, LeftEnded):
-        return CompareOutcome(Rel.LEFT_PREFIX, expr_length(x))
+        return CompareOutcome(_LEFT_PREFIX, expr_length(x))
     if isinstance(outcome, RightEnded):
-        return CompareOutcome(Rel.RIGHT_PREFIX, expr_length(y))
+        return CompareOutcome(_RIGHT_PREFIX, expr_length(y))
     assert isinstance(outcome, BothEnded)
-    return CompareOutcome(Rel.EQUAL)
+    return _EQUAL_OUTCOME
 
 
 def word_equal(x: RatExpr | str, y: RatExpr | str, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:

@@ -16,13 +16,17 @@ class OrdinalError(ArithmeticError):
     pass
 
 
+_new, _set = object.__new__, object.__setattr__    # build past __init__'s check
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Ordinal:
     """Cantor normal form: tuple of (exponent, coefficient) terms.
 
     The empty tuple is 0.  Construction validates canonicity, so equal
-    ordinals always carry identical term tuples.
+    ordinals always carry identical term tuples; only from_int, whose one
+    term is canonical for any n > 0, skips the check.
     """
 
     terms: tuple[tuple[int, int], ...] = ()
@@ -42,7 +46,11 @@ class Ordinal:
     def from_int(n: int) -> "Ordinal":
         if n < 0:
             raise OrdinalError("ordinals are non-negative")
-        return Ordinal(((0, n),)) if n else Ordinal()
+        if not n:
+            return ZERO
+        a = _new(Ordinal)
+        _set(a, "terms", ((0, n),))
+        return a
 
     @staticmethod
     def omega(exp: int = 1, coeff: int = 1) -> "Ordinal":

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
-from ratword.expr import (Concat, ExprError, Letter, Omega, as_finite_word, concat,
+from ratword.expr import (Alphabet, Concat, ExprError, Letter, Omega, as_finite_word, concat,
                           expr_length, first_letters, format_expr, letter_at, parse_expr,
                           power, prefix_to, suffix_from, word_expr)
 from ratword.gen import random_expr, random_ordinal
-from ratword.order import word_equal
+from ratword.order import compare, word_equal
 from ratword.ordinal import Ordinal, ZERO
 
 W = Ordinal.omega
@@ -31,6 +31,17 @@ def test_parse_errors():
     for text in ["", "()", "(a", "a)", "a^", "a^b", "a+b", "A"]:
         with pytest.raises(ExprError):
             parse_expr(text)
+
+
+def test_alphabet_order_and_unknown_letters():
+    alphabet = Alphabet("cab")
+    assert alphabet.lt("c", "a") and alphabet.lt("a", "b") and not alphabet.lt("b", "c")
+    assert not alphabet.lt("a", "a")
+    for a, b in (("x", "a"), ("a", "x"), ("x", "y")):
+        with pytest.raises(ExprError, match=r"^letter 'x' not in alphabet$"):
+            alphabet.lt(a, b)
+    with pytest.raises(ExprError, match=r"^letter 'x' not in alphabet$"):
+        compare("cx", "ca", alphabet)
 
 
 def test_w_is_a_plain_letter_outside_powers():

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +11,8 @@ from ratword.duplication import tau
 from ratword.expr import (Alphabet, Letter, Omega, as_finite_word, concat, letter_at,
                           parse_expr, prefix_to)
 from ratword.gen import random_expr, random_finite_word
-from ratword.order import Rel, _compare_finite, compare, compare_via_automata, word_equal
+from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compare_via_automata,
+                           word_equal)
 from ratword.ordinal import Ordinal, parse_ordinal
 from ratword.runner import (Advanced, LoopClosed, RightEnded, Trace, run_to_divergence,
                             sync_step)
@@ -49,6 +53,72 @@ def test_prefix_outcomes():
 def test_outcome_helpers():
     assert cmp("a", "b").left_lt and cmp("a", "ab").left_lt
     assert cmp("a", "a").left_le and not cmp("b", "a").left_le
+
+
+REL_REPRS = {Rel.LESS: "<Rel.LESS: '<'>", Rel.GREATER: "<Rel.GREATER: '>'>",
+             Rel.EQUAL: "<Rel.EQUAL: '='>", Rel.LEFT_PREFIX: "<Rel.LEFT_PREFIX: '< (prefix)'>",
+             Rel.RIGHT_PREFIX: "<Rel.RIGHT_PREFIX: '> (prefix)'>"}
+OUTCOME_FIELDS = [
+    ((), "position=None, letters=None"),
+    ((fin(3), ("a", "b")), "position=Ordinal(terms=((0, 3),)), letters=('a', 'b')"),
+    ((W(2, 3) + fin(1),), "position=Ordinal(terms=((2, 3), (0, 1))), letters=None"),
+]
+
+
+@pytest.mark.parametrize("rel", list(Rel), ids=lambda r: r.name)
+def test_compare_outcome_value_semantics(rel):
+    """An outcome is an immutable value of (rel, position, letters): flags,
+    equality, hash, repr, pickling and copying all go by those three."""
+    for args, fields_text in OUTCOME_FIELDS:
+        out = CompareOutcome(rel, *args)
+        position, letters = (args + (None, None))[:2]
+        key = (rel, position, letters)
+        assert (out.rel, out.position, out.letters) == key
+        assert out.is_equal == (rel is Rel.EQUAL)
+        assert out.left_le == (rel in (Rel.LESS, Rel.EQUAL, Rel.LEFT_PREFIX))
+        assert out.left_lt == (rel in (Rel.LESS, Rel.LEFT_PREFIX))
+        assert out == CompareOutcome(rel, position=position, letters=letters)
+        assert hash(out) == hash(CompareOutcome(rel, position, letters)) == hash(key)
+        assert out != key and key != out
+        for other in Rel:
+            if other is not rel:
+                assert out != CompareOutcome(other, position, letters)
+        assert out != CompareOutcome(rel, fin(4), letters)
+        assert out != CompareOutcome(rel, position, ("b", "a"))
+        assert repr(out) == f"CompareOutcome(rel={REL_REPRS[rel]}, {fields_text})"
+        for name in ("rel", "position", "letters", "is_equal", "left_le", "left_lt", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(out, name, None)
+            with pytest.raises(AttributeError):
+                delattr(out, name)
+        assert (out.rel, out.position, out.letters) == key
+        copies = [pickle.loads(pickle.dumps(out, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.copy(out), copy.deepcopy(out)]:
+            assert type(twin) is CompareOutcome and twin == out and hash(twin) == hash(out)
+            assert repr(twin) == repr(out)
+            assert (twin.is_equal, twin.left_le, twin.left_lt) == \
+                (out.is_equal, out.left_le, out.left_lt)
+
+
+def test_outcome_flags_are_read_without_a_call():
+    """The flags are stored when the outcome is built: reading one runs no
+    Python function, and equal words share one outcome."""
+    out = compare("ab", "b")
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        flags = (out.is_equal, out.left_le, out.left_lt)
+    finally:
+        sys.setprofile(None)
+    assert flags == (False, True, True) and calls == []
+    assert compare("ab", "ab") is compare("b", "b") is compare(parse_expr("a"), "a")
+    assert compare_via_automata(parse_expr("a^w"), parse_expr("aa^w")) is compare("a", "a")
 
 
 def test_trace_budget():

@@ -87,6 +87,22 @@ def test_construction_rejects_bad_cnf():
         Ordinal(((0, 1), (1, 1)))
 
 
+@pytest.mark.parametrize("n", [0, 1, 1600, 10**30])
+def test_from_int_matches_the_checked_constructor(n):
+    """from_int skips the CNF check on its one term, and its result is the
+    same value the validating constructor gives."""
+    expected = Ordinal(((0, n),)) if n else Ordinal()
+    got = Ordinal.from_int(n)
+    assert got == expected and got.terms == expected.terms
+    assert hash(got) == hash(expected) and repr(got) == repr(expected)
+    assert got.to_int() == n and got.is_finite
+
+
+def test_from_int_rejects_negatives():
+    with pytest.raises(OrdinalError):
+        Ordinal.from_int(-1)
+
+
 def test_addition_absorption():
     # (w*2+1)*w + w = w^2 + w
     assert (W(1, 2) + fin(1)) * W() + W() == W(2) + W()

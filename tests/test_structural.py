@@ -4,7 +4,7 @@ import random
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratword import (
     Factorization,
@@ -24,6 +24,7 @@ from ratword import (
 from ratword.expr import (Alphabet, Concat, DEFAULT_ALPHABET, Letter, RatExpr, as_finite_word,
                           expr_length)
 from ratword.ordinal import ONE, OMEGA, Ordinal
+import ratword.order as order
 import ratword.structural as structural
 from ratword.structural import StructuralError
 from ratword.gen import random_expr, random_finite_word
@@ -250,3 +251,43 @@ def test_a_prime_is_a_str_exactly_when_it_is_finite(seed, finite):
     assert seen or len(blocks) == 1
     for p, _ in seen:
         assert type(p) is str or as_finite_word(p) is None, p
+
+
+
+@st.composite
+def finite_words(draw):
+    """Words of 1-800 letters on ab, abc or abcd: random, or a random block
+    of up to 8 letters repeated, so runs and periodic words come up."""
+    letters = draw(st.sampled_from(["ab", "abc", "abcd"]))
+    n, period = draw(st.integers(1, 800)), draw(st.integers(0, 8))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if period:
+        return ("".join(rng.choice(letters) for _ in range(period)) * n)[:n]
+    return "".join(rng.choice(letters) for _ in range(n))
+
+
+@settings(deadline=None, max_examples=120)
+@given(finite_words())
+@example("ba" * 250)  # 996 compares against the bound 998
+def test_finite_word_costs_at_most_two_compares_per_letter(word):
+    """Cost law on a finite word of n letters: factorize_structural makes at
+    most 2(n - 1) compares and no product run.  Each compare either merges
+    two blocks, at most n - 1 times in all, or stops an incoming block, at
+    most once per block after the first."""
+    calls = {"compare": 0, "compare_via_automata": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structural, "compare", counting(structural, "compare"))
+        mp.setattr(order, "compare_via_automata", counting(order, "compare_via_automata"))
+        blocks = factorize_structural(E(word)).blocks
+    assert calls["compare"] <= 2 * (len(word) - 1)
+    assert calls["compare_via_automata"] == 0
+    assert "".join(as_finite_word(p) * a.to_int() for p, a in blocks) == word
