@@ -6,6 +6,12 @@ is final.  A letter token s yields the successor transition s -a-> s+1.  A
 w-power token s whose body starts at token b yields the backward transition
 s -a-> b+1 (a the body's first letter) together with the limit transition
 {b+1,...,s} -> s+1, taken when exactly those states repeat cofinally.
+
+Each token also keeps its node, the Letter or w-power of the expression it
+was compiled from.  A token range is read back from those nodes: an
+w-power inside the range is its token's node, shared with the expression,
+so reading a factor back costs its number of top-level parts and copies
+nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .expr import Letter, Omega, RatExpr, concat, expr_length, prefix_to, suffix_from
+from .expr import Concat, Letter, Omega, RatExpr, concat, expr_length, prefix_to, suffix_from
 from .ordinal import OMEGA, ZERO
 
 
@@ -26,13 +32,35 @@ class MissingLimitError(AutomatonError):
 
 
 class SingleWordAutomaton:
+    """compile_expr builds one from the transitions, the limits and the
+    Letter or Omega node of each token, and the tokens are read off the
+    transitions; one built by hand gives tokens instead of nodes, and the
+    nodes are rebuilt from them when asked for."""
     initial = 0
 
-    def __init__(self, tokens, succ, limits):
-        self.tokens = tuple(tokens)      # ("letter", a) or ("omega", body_start)
-        self.n = len(self.tokens)
+    def __init__(self, tokens, succ, limits, nodes=None):
         self.succ = tuple(succ)          # succ[s] = (letter, target), s in 0..n-1
+        self.n = len(self.succ)
         self.limits = dict(limits)       # (lo, hi) -> target
+        if tokens is not None:
+            self.tokens = tuple(tokens)
+        if nodes is not None:
+            self.nodes = tuple(nodes)
+        # (letter, target) of the transition leaving s, or None at the final
+        # state: a bound tuple lookup, so a step runs no Python frame
+        self.leaving = (self.succ + (None,)).__getitem__
+
+    @cached_property
+    def tokens(self) -> tuple[tuple, ...]:
+        """("letter", a) or ("omega", body_start) for each token: a letter
+        token's transition leads to the next state, a w-token's to the state
+        after its body's start."""
+        return tuple(("letter", a) if target == s + 1 else ("omega", target - 1)
+                     for s, (a, target) in enumerate(self.succ))
+
+    @cached_property
+    def nodes(self) -> tuple[RatExpr, ...]:
+        return _rebuild_nodes(self.tokens, self.succ)
 
     @cached_property
     def in_loop(self) -> bytes:
@@ -43,12 +71,6 @@ class SingleWordAutomaton:
             depth[hi + 1] -= 1
         return bytes(d > 0 for d in accumulate(depth[:-1]))
 
-    def leaving(self, s: int):
-        """(letter, target) of the transition leaving s, or None at the final state."""
-        if s == self.n:
-            return None
-        return self.succ[s]
-
     def limit_target(self, states) -> int:
         lo, hi = min(states), max(states)
         if len(states) == hi - lo + 1 and (lo, hi) in self.limits:
@@ -58,31 +80,31 @@ class SingleWordAutomaton:
 
 @lru_cache(maxsize=65536)
 def compile_expr(e: RatExpr) -> SingleWordAutomaton:
-    tokens: list[tuple] = []
-
-    def emit(node: RatExpr) -> None:
-        if isinstance(node, Letter):
-            tokens.append(("letter", node.sym))
-        elif isinstance(node, Omega):
-            start = len(tokens)
-            emit(node.body)
-            tokens.append(("omega", start))
+    """The automaton of e, built in one iterative walk that numbers the
+    tokens and records each token's transition, node and limit."""
+    succ: list[tuple[str, int]] = []
+    nodes: list[RatExpr] = []
+    limits: dict[tuple[int, int], int] = {}
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Letter:
+            nodes.append(node)
+            succ.append((node.sym, len(nodes)))
+        elif kind is Concat:
+            stack.extend(reversed(node.parts))
+        elif kind is Omega:
+            stack.append((node, len(nodes)))    # its w-token, once the body is out
+            stack.append(node.body)
         else:
-            for p in node.parts:
-                emit(p)
-
-    emit(e)
-    succ = []
-    limits = {}
-    for s, (kind, val) in enumerate(tokens):
-        if kind == "letter":
-            succ.append((val, s + 1))
-        else:
-            first = tokens[val]
-            assert first[0] == "letter"  # flattening puts a letter first
-            succ.append((first[1], val + 1))
-            limits[(val + 1, s)] = s + 1
-    return SingleWordAutomaton(tokens, succ, limits)
+            node, start = node
+            s = len(nodes)
+            nodes.append(node)
+            # back to just after the body's first token, a letter
+            succ.append((succ[start][0], start + 1))
+            limits[(start + 1, s)] = s + 1
+    return SingleWordAutomaton(None, succ, limits, nodes)
 
 
 def validate(auto: SingleWordAutomaton) -> list[str]:
@@ -145,12 +167,13 @@ class SharpAutomaton:
         self.j = j
         self.initial = i
         self.n = base.n
+        self._succ = base.succ
+        self._back = (base.succ[i][0], i + 1)    # the added j -a-> i+1
 
     def leaving(self, s: int):
         if s == self.j:
-            letter, _ = self.base.succ[self.i]
-            return (letter, self.i + 1)
-        return self.base.succ[s]
+            return self._back
+        return self._succ[s]
 
     def limit_target(self, states) -> int:
         if min(states) == self.i + 1 and max(states) == self.j \
@@ -165,23 +188,40 @@ class SharpAutomaton:
 # -- reading words back out of automata --------------------------------------
 
 def expr_of_range(auto: SingleWordAutomaton, lo: int, hi: int) -> RatExpr:
-    """Expression denoted by tokens [lo, hi); w-power bodies must not cross lo."""
+    """Expression denoted by tokens [lo, hi); w-power bodies must not cross lo.
+
+    Its parts are the automaton's own token nodes, so a range costs the
+    number of its top-level parts: the walk runs back from hi, and a w-token
+    whose body starts at or after lo stands for its whole body."""
     if lo >= hi:
         raise AutomatonError("empty token range")
-    parts: list[tuple[int, RatExpr]] = []  # (start token, expr)
-    for t in range(lo, hi):
-        kind, val = auto.tokens[t]
+    return concat(_top_level_nodes(auto.succ, auto.nodes, lo, hi))
+
+
+def _top_level_nodes(succ, nodes, lo: int, hi: int) -> list[RatExpr]:
+    # the body of token t starts at succ[t][1] - 1 (t itself for a letter)
+    parts: list[RatExpr] = []
+    t = hi - 1
+    while t >= lo:
+        start = succ[t][1] - 1
+        if start < lo:
+            # name the innermost crossing body, the first one reading forwards
+            start = next(target - 1 for _, target in succ[lo:hi] if target <= lo)
+            raise AutomatonError(f"w-power body at token {start} crosses range start {lo}")
+        parts.append(nodes[t])
+        t = start - 1
+    parts.reverse()
+    return parts
+
+
+def _rebuild_nodes(tokens, succ) -> tuple[RatExpr, ...]:
+    nodes: list[RatExpr] = []
+    for kind, val in tokens:
         if kind == "letter":
-            parts.append((t, Letter(val)))
+            nodes.append(Letter(val))
         else:
-            if val < lo:
-                raise AutomatonError(f"w-power body at token {val} crosses range start {lo}")
-            body: list[RatExpr] = []
-            while parts and parts[-1][0] >= val:
-                body.append(parts.pop()[1])
-            body.reverse()
-            parts.append((val, Omega(concat(body))))
-    return concat([p for _, p in parts])
+            nodes.append(Omega(concat(_top_level_nodes(succ, nodes, val, len(nodes)))))
+    return tuple(nodes)
 
 
 def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:

@@ -10,6 +10,7 @@ up in q_main, boundaries between copies of one prime in q_secondary."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .automaton import (SharpAutomaton, SingleWordAutomaton, compile_expr,
@@ -18,7 +19,7 @@ from .duplication import tau
 from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, RatExpr, concat,
                    expr_length, format_expr, power)
 from .order import word_equal
-from .ordinal import Ordinal, div_left, format_ordinal
+from .ordinal import ONE, Ordinal, div_left, format_ordinal
 from .runner import Advanced, Diverged, LoopClosed, RightEnded, Trace, sync_step
 
 
@@ -123,7 +124,8 @@ def factorize_states(auto: SingleWordAutomaton, alphabet: Alphabet = DEFAULT_ALP
                 # smaller letter (or end of word): close the block of copies of
                 # the prime cut at j
                 case = "3"
-                added = {j} | {q for q, r in history.pairs() if r == j}
+                added = history.lefts_paired_with(j)
+                added.add(j)
                 top = max(added)
                 q_secondary |= added - {top}
                 q_main.add(top)
@@ -154,13 +156,17 @@ def extract_factorization(auto: SingleWordAutomaton, q_main: set[int],
     mains = sorted(q_main)
     if mains[0] != 0 or mains[-1] != auto.n:
         raise FactorizeError(f"main cuts {mains} do not span the word")
+    secondaries = sorted(q_secondary)
     blocks: list[tuple[RatExpr, Ordinal]] = []
     for lo, hi in zip(mains, mains[1:]):
-        inner = sorted(s for s in q_secondary if lo < s < hi)
-        if not inner:
-            blocks.append((expr_of_range(auto, lo, hi), Ordinal.from_int(1)))
+        # the block's first secondary cut, if it has one
+        k = bisect_right(secondaries, lo)
+        if k == len(secondaries) or secondaries[k] >= hi:
+            blocks.append((expr_of_range(auto, lo, hi), ONE))
             continue
-        prime = expr_of_range(auto, lo, inner[0])
+        prime = expr_of_range(auto, lo, secondaries[k])
+        # both ranges are made of the expression's own, shared subtrees,
+        # whose lengths expr_length has cached
         block_len = expr_length(expr_of_range(auto, lo, hi))
         alpha, rest = div_left(block_len, expr_length(prime))
         if not rest.is_zero:

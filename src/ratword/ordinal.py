@@ -25,8 +25,9 @@ class Ordinal:
     """Cantor normal form: tuple of (exponent, coefficient) terms.
 
     The empty tuple is 0.  Construction validates canonicity, so equal
-    ordinals always carry identical term tuples; only from_int, whose one
-    term is canonical for any n > 0, skips the check.
+    ordinals always carry identical term tuples.  from_int, whose one term
+    is canonical for any n > 0, and the arithmetic, whose results are
+    canonical whenever its operands are, build past the check.
     """
 
     terms: tuple[tuple[int, int], ...] = ()
@@ -93,23 +94,32 @@ class Ordinal:
             if exp == lead:
                 merged[0] = (lead, coeff + merged[0][1])
                 break
-        return Ordinal(kept + tuple(merged))
+        return _cnf(kept + tuple(merged))
 
     def __mul__(self, other: "Ordinal") -> "Ordinal":
         if not self.terms or not other.terms:
-            return Ordinal()
+            return ZERO
         lead_exp, lead_coeff = self.terms[0]
-        out = Ordinal()
+        out = ZERO
         for exp, coeff in other.terms:
             if exp == 0:
-                part = Ordinal(((lead_exp, lead_coeff * coeff),) + self.terms[1:])
+                part = _cnf(((lead_exp, lead_coeff * coeff),) + self.terms[1:])
             else:
-                part = Ordinal(((lead_exp + exp, coeff),))
+                part = _cnf(((lead_exp + exp, coeff),))
             out = out + part
         return out
 
     def __str__(self) -> str:
         return format_ordinal(self)
+
+
+def _cnf(terms: tuple[tuple[int, int], ...]) -> Ordinal:
+    """The ordinal of terms already in Cantor normal form, unchecked."""
+    if not terms:
+        return ZERO
+    a = _new(Ordinal)
+    _set(a, "terms", terms)
+    return a
 
 
 ZERO = Ordinal()
@@ -124,14 +134,14 @@ def sub_left(gamma: Ordinal, gamma_prime: Ordinal) -> Ordinal:
     while i < len(a) and i < len(b) and a[i] == b[i]:
         i += 1
     if i == len(a):
-        return Ordinal(b[i:])
+        return _cnf(b[i:])
     if i == len(b):
         raise OrdinalError(f"underflow: {gamma} > {gamma_prime}")
     (e, c), (e2, c2) = a[i], b[i]
     if e < e2:
-        return Ordinal(b[i:])
+        return _cnf(b[i:])
     if e == e2 and c < c2:
-        return Ordinal(((e, c2 - c),) + b[i + 1:])
+        return _cnf(((e, c2 - c),) + b[i + 1:])
     raise OrdinalError(f"underflow: {gamma} > {gamma_prime}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .ordinal import Ordinal, sub_left, OMEGA, ONE, ZERO
 
@@ -49,6 +50,10 @@ class Trace:
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self._lefts, self._rights))
+
+    def lefts_paired_with(self, right: int) -> set[int]:
+        """The left states of the pairs whose right state is `right`."""
+        return set(compress(self._lefts, map(right.__eq__, self._rights)))
 
     def collect_loop(self, idx: int, lefts: set[int], rights: set[int]) -> None:
         """Add to lefts and rights the component states of the loop that
@@ -94,20 +99,28 @@ class Trace:
         return self._limit_pos[k] + Ordinal.from_int(i - self._limit_at[k])
 
 
-@dataclass(frozen=True)
+# The two outcomes of a step that moves on are plain slotted classes: a
+# frozen dataclass's __init__ costs about twice as much, once per letter.
+
 class Advanced:
-    pair: tuple[int, int]
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: tuple[int, int]):
+        self.pair = pair
 
 
-@dataclass(frozen=True)
 class LoopClosed:
     """A repeated pair (`entry`) closed a loop; the cascade of limit
     transitions reached `pair` and collapsed the component states `lefts`
     and `rights` (plain sets, shared with the trace)."""
-    pair: tuple[int, int]
-    entry: tuple[int, int]
-    lefts: set[int]
-    rights: set[int]
+    __slots__ = ("pair", "entry", "lefts", "rights")
+
+    def __init__(self, pair: tuple[int, int], entry: tuple[int, int],
+                 lefts: set[int], rights: set[int]):
+        self.pair = pair
+        self.entry = entry
+        self.lefts = lefts
+        self.rights = rights
 
 
 @dataclass(frozen=True)
@@ -133,7 +146,8 @@ class BothEnded:
 
 def sync_step(left, right, trace: Trace):
     """Advance the product run by one letter (or one limit resolution)."""
-    step_l = left.leaving(trace._lefts[-1])
+    trace_lefts = trace._lefts
+    step_l = left.leaving(trace_lefts[-1])
     step_r = right.leaving(trace._rights[-1])
     if step_l is None and step_r is None:
         return BothEnded()
@@ -147,8 +161,8 @@ def sync_step(left, right, trace: Trace):
     pair = (target_l, target_r)
     index = trace._index
     if pair not in index:
-        index[pair] = len(trace._lefts)
-        trace._lefts.append(target_l)
+        index[pair] = len(trace_lefts)
+        trace_lefts.append(target_l)
         trace._rights.append(target_r)
         return Advanced(pair)
     # a repeated pair closes a loop; nested loops may cascade when the run

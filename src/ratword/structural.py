@@ -48,8 +48,11 @@ def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
     if not out.left_lt:
         raise StructuralError(
             f"concat_pp needs {format_expr(_expr(u))} <=lex {format_expr(_expr(v))}")
-    if type(u) is str and type(v) is str and alpha.is_finite and beta.is_finite:
-        return u * alpha.to_int() + v * beta.to_int(), ONE
+    if type(u) is str and type(v) is str:
+        # exponents are >= 1; one is finite when its leading term is w^0 * c
+        (ea, ca), (eb, cb) = alpha.terms[0], beta.terms[0]
+        if ea == eb == 0:
+            return u * ca + v * cb, ONE
     u, v = _expr(u), _expr(v)
     # u^alpha is absorbed by v when u^alpha v = v: the result is v^beta.  A
     # finite v never absorbs, since |u^alpha v| > |v|.

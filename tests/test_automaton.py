@@ -8,8 +8,9 @@ from ratword.automaton import (AutomatonError, MissingLimitError, SharpAutomaton
                                SingleWordAutomaton, compile_expr, expr_of_range,
                                numbered_word, suffix_word, to_dot, validate)
 from ratword.duplication import tau
-from ratword.expr import expr_length, format_expr, parse_expr, prefix_to, suffix_from
-from ratword.factorizer import marked_expression
+from ratword.expr import (Concat, Letter, Omega, concat, expr_length, format_expr,
+                          parse_expr, prefix_to, suffix_from)
+from ratword.factorizer import factorize, marked_expression
 from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import Ordinal
@@ -185,3 +186,100 @@ def test_random_roundtrip_and_suffixes(seed):
         assert word_equal(pref, prefix_to(e, pos))
         if pos < expr_length(e):
             assert word_equal(suffix_word(auto, q), suffix_from(e, pos))
+
+
+# -- reading token ranges back as the expression's own nodes -----------------
+
+def _reference_tokens(e):
+    """The token numbering by a recursive walk: ("letter", a) or
+    ("omega", body_start)."""
+    tokens = []
+
+    def emit(node):
+        if isinstance(node, Letter):
+            tokens.append(("letter", node.sym))
+        elif isinstance(node, Omega):
+            start = len(tokens)
+            emit(node.body)
+            tokens.append(("omega", start))
+        else:
+            for p in node.parts:
+                emit(p)
+
+    emit(e)
+    return tokens
+
+
+def _reference_range(tokens, lo, hi):
+    """Tokens [lo, hi) rebuilt letter by letter, reading forwards."""
+    if lo >= hi:
+        raise AutomatonError("empty token range")
+    parts = []  # (start token, expr)
+    for t in range(lo, hi):
+        kind, val = tokens[t]
+        if kind == "letter":
+            parts.append((t, Letter(val)))
+            continue
+        if val < lo:
+            raise AutomatonError(f"w-power body at token {val} crosses range start {lo}")
+        body = []
+        while parts and parts[-1][0] >= val:
+            body.append(parts.pop()[1])
+        parts.append((val, Omega(concat(body[::-1]))))
+    return concat([p for _, p in parts])
+
+
+def _outcome(read, *args):
+    try:
+        return repr(read(*args))
+    except AutomatonError as err:
+        return f"AutomatonError: {err}"
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_expr_of_range_matches_a_letter_by_letter_rebuild(seed):
+    """On every range, ends inside a body included, expr_of_range gives what
+    a forward rebuild gives, and raises the same error on the same ranges
+    whose start cuts through a body.  So does an automaton built by hand
+    from the same tokens, whose nodes are rebuilt."""
+    rng = random.Random(seed)
+    e = random_expr(rng, max_size=10, max_depth=3, letters="abc")
+    for x in (e, tau(e)):
+        auto = compile_expr(x)
+        tokens = _reference_tokens(x)
+        assert list(auto.tokens) == tokens
+        by_hand = SingleWordAutomaton(tokens, auto.succ, auto.limits)
+        for lo in range(auto.n + 1):
+            for hi in range(lo, auto.n + 1):
+                expected = _outcome(_reference_range, tokens, lo, hi)
+                assert _outcome(expr_of_range, auto, lo, hi) == expected
+                assert _outcome(expr_of_range, by_hand, lo, hi) == expected
+
+
+def test_factorize_primes_are_nodes_of_the_duplicated_expression():
+    """On a depth-10 tower, every w-power in the primes is a node of tau(e)
+    itself, not a copy."""
+    text = "ac"
+    for x in "bcabcabcab":
+        text = f"({text})^w{x}"
+    fact, _, dup = factorize(parse_expr(text))
+    dup_nodes = set()
+    stack = [dup]
+    while stack:
+        node = stack.pop()
+        if id(node) not in dup_nodes:
+            dup_nodes.add(id(node))
+            stack.extend(node.parts if isinstance(node, Concat) else
+                         [node.body] if isinstance(node, Omega) else [])
+    omegas = 0
+    stack = [prime for prime, _ in fact.blocks]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Omega):
+            omegas += 1
+            assert id(node) in dup_nodes
+            stack.append(node.body)
+        elif isinstance(node, Concat):
+            stack.extend(node.parts)
+    assert omegas >= 10

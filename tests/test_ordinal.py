@@ -98,6 +98,26 @@ def test_from_int_matches_the_checked_constructor(n):
     assert got.to_int() == n and got.is_finite
 
 
+# any ordinal below w^6 in Cantor normal form, built by the checked constructor
+cnf_ordinals = st.dictionaries(st.integers(0, 5), st.integers(1, 10**12), max_size=4).map(
+    lambda terms: Ordinal(tuple(sorted(terms.items(), reverse=True))))
+
+
+@given(cnf_ordinals, cnf_ordinals)
+def test_arithmetic_matches_the_checked_constructor(x, y):
+    """+, * and sub_left build their results past the CNF check (and
+    div_left from them); each result is the value the validating
+    constructor gives for its terms."""
+    results = [x + y, x * y, sub_left(min(x, y), max(x, y))]
+    if not y.is_zero:
+        results += div_left(x, y)
+    for got in results:
+        expected = Ordinal(got.terms)
+        assert type(got) is Ordinal
+        assert got == expected and got.terms == expected.terms
+        assert hash(got) == hash(expected) and repr(got) == repr(expected)
+
+
 def test_from_int_rejects_negatives():
     with pytest.raises(OrdinalError):
         Ordinal.from_int(-1)
