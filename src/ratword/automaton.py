@@ -32,18 +32,16 @@ class MissingLimitError(AutomatonError):
 
 
 class SingleWordAutomaton:
-    """compile_expr builds one from the transitions, the limits and the
-    Letter or Omega node of each token, and the tokens are read off the
-    transitions; one built by hand gives tokens instead of nodes, and the
-    nodes are rebuilt from them when asked for."""
+    """The transitions are the one source of the token structure: tokens,
+    and the nodes of an automaton built by hand, are read off them.
+    compile_expr also passes the Letter or Omega node of each token; the
+    tokens argument is ignored and kept for the three-argument call."""
     initial = 0
 
     def __init__(self, tokens, succ, limits, nodes=None):
         self.succ = tuple(succ)          # succ[s] = (letter, target), s in 0..n-1
         self.n = len(self.succ)
         self.limits = dict(limits)       # (lo, hi) -> target
-        if tokens is not None:
-            self.tokens = tuple(tokens)
         if nodes is not None:
             self.nodes = tuple(nodes)
         # (letter, target) of the transition leaving s, or None at the final
@@ -60,7 +58,7 @@ class SingleWordAutomaton:
 
     @cached_property
     def nodes(self) -> tuple[RatExpr, ...]:
-        return _rebuild_nodes(self.tokens, self.succ)
+        return _rebuild_nodes(self.succ)
 
     @cached_property
     def in_loop(self) -> bytes:
@@ -214,13 +212,15 @@ def _top_level_nodes(succ, nodes, lo: int, hi: int) -> list[RatExpr]:
     return parts
 
 
-def _rebuild_nodes(tokens, succ) -> tuple[RatExpr, ...]:
+def _rebuild_nodes(succ) -> tuple[RatExpr, ...]:
+    # a transition to the next state is a letter token's, any other an
+    # w-token's, whose body starts just before its target
     nodes: list[RatExpr] = []
-    for kind, val in tokens:
-        if kind == "letter":
-            nodes.append(Letter(val))
+    for s, (a, target) in enumerate(succ):
+        if target == s + 1:
+            nodes.append(Letter(a))
         else:
-            nodes.append(Omega(concat(_top_level_nodes(succ, nodes, val, len(nodes)))))
+            nodes.append(Omega(concat(_top_level_nodes(succ, nodes, target - 1, s))))
     return tuple(nodes)
 
 

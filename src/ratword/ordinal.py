@@ -47,11 +47,7 @@ class Ordinal:
     def from_int(n: int) -> "Ordinal":
         if n < 0:
             raise OrdinalError("ordinals are non-negative")
-        if not n:
-            return ZERO
-        a = _new(Ordinal)
-        _set(a, "terms", ((0, n),))
-        return a
+        return _cnf(((0, n),) if n else ())
 
     @staticmethod
     def omega(exp: int = 1, coeff: int = 1) -> "Ordinal":

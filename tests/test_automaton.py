@@ -242,7 +242,7 @@ def test_expr_of_range_matches_a_letter_by_letter_rebuild(seed):
     """On every range, ends inside a body included, expr_of_range gives what
     a forward rebuild gives, and raises the same error on the same ranges
     whose start cuts through a body.  So does an automaton built by hand
-    from the same tokens, whose nodes are rebuilt."""
+    from the same transitions, whose nodes are rebuilt from them."""
     rng = random.Random(seed)
     e = random_expr(rng, max_size=10, max_depth=3, letters="abc")
     for x in (e, tau(e)):
@@ -259,7 +259,10 @@ def test_expr_of_range_matches_a_letter_by_letter_rebuild(seed):
 
 def test_factorize_primes_are_nodes_of_the_duplicated_expression():
     """On a depth-10 tower, every w-power in the primes is a node of tau(e)
-    itself, not a copy."""
+    itself, not a copy.  compile_expr's cache matches expressions by
+    equality, so it is cleared first: a hit would hand back the nodes of an
+    equal expression compiled earlier."""
+    compile_expr.cache_clear()
     text = "ac"
     for x in "bcabcabcab":
         text = f"({text})^w{x}"
