@@ -32,18 +32,15 @@ class MissingLimitError(AutomatonError):
 
 
 class SingleWordAutomaton:
-    """The transitions are the one source of the token structure: tokens,
-    and the nodes of an automaton built by hand, are read off them.
-    compile_expr also passes the Letter or Omega node of each token; the
-    tokens argument is ignored and kept for the three-argument call."""
+    """The transitions are the one source of the token structure, and
+    nodes[s] is the Letter or Omega node that token s was compiled from."""
     initial = 0
 
-    def __init__(self, tokens, succ, limits, nodes=None):
+    def __init__(self, succ, limits, nodes):
         self.succ = tuple(succ)          # succ[s] = (letter, target), s in 0..n-1
         self.n = len(self.succ)
         self.limits = dict(limits)       # (lo, hi) -> target
-        if nodes is not None:
-            self.nodes = tuple(nodes)
+        self.nodes = tuple(nodes)
         # (letter, target) of the transition leaving s, or None at the final
         # state: a bound tuple lookup, so a step runs no Python frame
         self.leaving = (self.succ + (None,)).__getitem__
@@ -55,10 +52,6 @@ class SingleWordAutomaton:
         after its body's start."""
         return tuple(("letter", a) if target == s + 1 else ("omega", target - 1)
                      for s, (a, target) in enumerate(self.succ))
-
-    @cached_property
-    def nodes(self) -> tuple[RatExpr, ...]:
-        return _rebuild_nodes(self.succ)
 
     @cached_property
     def in_loop(self) -> bytes:
@@ -102,7 +95,7 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
             # back to just after the body's first token, a letter
             succ.append((succ[start][0], start + 1))
             limits[(start + 1, s)] = s + 1
-    return SingleWordAutomaton(None, succ, limits, nodes)
+    return SingleWordAutomaton(succ, limits, nodes)
 
 
 def validate(auto: SingleWordAutomaton) -> list[str]:
@@ -193,10 +186,7 @@ def expr_of_range(auto: SingleWordAutomaton, lo: int, hi: int) -> RatExpr:
     whose body starts at or after lo stands for its whole body."""
     if lo >= hi:
         raise AutomatonError("empty token range")
-    return concat(_top_level_nodes(auto.succ, auto.nodes, lo, hi))
-
-
-def _top_level_nodes(succ, nodes, lo: int, hi: int) -> list[RatExpr]:
+    succ = auto.succ
     # the body of token t starts at succ[t][1] - 1 (t itself for a letter)
     parts: list[RatExpr] = []
     t = hi - 1
@@ -206,22 +196,10 @@ def _top_level_nodes(succ, nodes, lo: int, hi: int) -> list[RatExpr]:
             # name the innermost crossing body, the first one reading forwards
             start = next(target - 1 for _, target in succ[lo:hi] if target <= lo)
             raise AutomatonError(f"w-power body at token {start} crosses range start {lo}")
-        parts.append(nodes[t])
+        parts.append(auto.nodes[t])
         t = start - 1
     parts.reverse()
-    return parts
-
-
-def _rebuild_nodes(succ) -> tuple[RatExpr, ...]:
-    # a transition to the next state is a letter token's, any other an
-    # w-token's, whose body starts just before its target
-    nodes: list[RatExpr] = []
-    for s, (a, target) in enumerate(succ):
-        if target == s + 1:
-            nodes.append(Letter(a))
-        else:
-            nodes.append(Omega(concat(_top_level_nodes(succ, nodes, target - 1, s))))
-    return tuple(nodes)
+    return concat(parts)
 
 
 def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:

@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 input error, 2 internal invariant failure or
-engine disagreement."""
+engine disagreement.  An input error is a malformed expression, w-powers
+nested MAX_NESTING deep or deeper, a duplicated expression past the
+TAU_TOKENS budget of `duplication` (any command that runs the marking
+engine), or an unreadable file or bad option value."""
 
 from __future__ import annotations
 
@@ -24,7 +27,11 @@ from .runner import TraceError
 from .structural import StructuralError, factorize_structural
 
 
-NESTED_TOO_DEEPLY = "expression nested too deeply"
+# No walk over an expression recurses without bound, so this guard limits
+# cost, not recursion depth: on w-nesting this deep, compare of two such
+# words takes seconds and prime_witness minutes, in the cascade of loop
+# closures of the runner's trace.
+MAX_NESTING = 1000
 
 
 class CliInputError(ValueError):
@@ -32,15 +39,9 @@ class CliInputError(ValueError):
 
 
 def _parse(text: str):
-    try:
-        e = parse_expr(text)
-    except ExprError as err:
-        raise CliInputError(str(err)) from None
-    # tau, compile_expr, format_expr and the structural engine recurse once
-    # per level of w-nesting and fail past the recursion limit; nesting that
-    # deep is refused up front, so every command fails on it the same way.
-    if depth(e) >= sys.getrecursionlimit():
-        raise CliInputError(NESTED_TOO_DEEPLY)
+    e = parse_expr(text)
+    if depth(e) >= MAX_NESTING:
+        raise CliInputError("expression nested too deeply")
     return e
 
 
@@ -148,12 +149,12 @@ def cmd_batch(args) -> int:
         t0 = time.perf_counter()
         record: dict = {"input": text}
         try:
-            fact, state, dup = factorize(parse_expr(text))
+            fact, state, dup = factorize(_parse(text))
             record.update(_factorization_json(text, dup, state, fact))
             record["ok"] = True
         except Exception as err:  # noqa: BLE001 - errors never abort the batch
             record["ok"] = False
-            record["error"] = NESTED_TOO_DEEPLY if isinstance(err, RecursionError) else str(err)
+            record["error"] = str(err)
         record["ms"] = round((time.perf_counter() - t0) * 1000, 3)
         print(json.dumps(record))
     return 0
@@ -231,11 +232,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as err:
+    except (CliInputError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print(f"error: {NESTED_TOO_DEEPLY}", file=sys.stderr)
         return 1
     except (FactorizeError, StructuralError, AutomatonError, TraceError, OrdinalError,
             AssertionError) as err:

@@ -1,40 +1,42 @@
 """Duplication rewrites e^w into e e^w so that every w-power group in the
 compiled automaton is entered after a full linear pass over its body.  The
-rewrite preserves the denoted word."""
+rewrite preserves the denoted word, and each level of w-nesting can double
+the number of tokens, so tau refuses a result past TAU_TOKENS."""
 
 from __future__ import annotations
 
-from .expr import Letter, Omega, RatExpr, concat
+from .expr import Concat, ExprError, Letter, Omega, RatExpr, concat, fold
+
+TAU_TOKENS = 2 ** 18
 
 
 def tau(e: RatExpr) -> RatExpr:
-    if isinstance(e, Letter):
-        return e
-    if isinstance(e, Omega):
-        body = tau(e.body)
-        return concat([body, Omega(body)])
-    return concat([tau(p) for p in e.parts])
+    """The duplicated expression, which shares each duplicated body.  Its
+    tokens are counted in the same walk, so a blow-up stops at the level
+    that passes TAU_TOKENS, with an ExprError."""
+
+    def visit(node: RatExpr, kids: list[tuple[RatExpr, int]]) -> tuple[RatExpr, int]:
+        kind = type(node)
+        if kind is Letter:
+            return node, 1
+        if kind is Omega:
+            (body, tokens), = kids
+            dup, tokens = concat([body, Omega(body)]), 2 * tokens + 1
+        else:
+            dups, counts = zip(*kids)
+            dup, tokens = concat(dups), sum(counts)
+        if tokens > TAU_TOKENS:
+            raise ExprError(f"duplicated expression exceeds {TAU_TOKENS} tokens")
+        return dup, tokens
+
+    return fold(e, visit)[0]
 
 
 def size(e: RatExpr) -> int:
     """Number of tokens: letters count 1, each w-power adds 1."""
-    if isinstance(e, Letter):
-        return 1
-    if isinstance(e, Omega):
-        return 1 + size(e.body)
-    return sum(size(p) for p in e.parts)
+    return fold(e, lambda node, kids: sum(kids) + (type(node) is not Concat))
 
 
 def depth(e: RatExpr) -> int:
-    """Nesting depth of w-powers.  Iterative, so any nesting depth answers."""
-    deepest = 0
-    stack = [(e, 0)]
-    while stack:
-        node, d = stack.pop()
-        if isinstance(node, Omega):
-            stack.append((node.body, d + 1))
-        elif isinstance(node, Letter):
-            deepest = max(deepest, d)
-        else:
-            stack.extend((p, d) for p in node.parts)
-    return deepest
+    """Nesting depth of w-powers."""
+    return fold(e, lambda node, kids: max(kids, default=0) + (type(node) is Omega))

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter
+from typing import Callable
 
-from .ordinal import Ordinal, div_left, sub_left, OMEGA, ZERO
+from .ordinal import Ordinal, div_left, sub_left, ONE, OMEGA, ZERO
 
 
 class ExprError(ValueError):
@@ -46,12 +47,12 @@ DEFAULT_ALPHABET = Alphabet()
 
 class RatExpr:
     """Base of the expression nodes: immutable, with slots and no instance
-    __dict__.  A Concat or Omega node works out its hash on the first
-    `hash()`, from its children's stored hashes, and keeps it; a Letter is
-    made, and hashed, once per symbol.  Each node's `finite_word` is the
-    string it denotes when it contains no w-power, else None; it is worked
-    out on every read and kept nowhere, so equality, hashing and repr
-    ignore it."""
+    __dict__.  A node works out its hash when it is made, from its children's
+    stored hashes (a Letter once per symbol), and equality compares two
+    trees with an explicit stack, so neither recurses.  Each node's
+    `finite_word` is the string it denotes when it contains no w-power, else
+    None; it is worked out on every read and kept nowhere, so equality,
+    hashing and repr ignore it."""
     __slots__ = ("_hash",)
 
     def __setattr__(self, name: str, value) -> None:
@@ -67,8 +68,29 @@ class RatExpr:
     def __str__(self) -> str:
         return format_expr(self)
 
+    def __hash__(self) -> int:
+        return self._hash
 
-_set = object.__setattr__     # fills a slot past the immutability guard
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            kind = type(x)
+            if kind is not type(y) or x._hash != y._hash:
+                return False
+            if kind is Omega:
+                pairs.append((x.body, y.body))
+            elif kind is Letter or len(x.parts) != len(y.parts):
+                return False    # two Letters are one node when equal
+            else:
+                pairs += zip(x.parts, y.parts)
+        return True
+
+
 _LETTERS: dict[str, Letter] = {}
 
 
@@ -81,21 +103,11 @@ class Letter(RatExpr):
             return _LETTERS[sym]
         except KeyError:
             node = _LETTERS[sym] = object.__new__(cls)
-            _set(node, "sym", sym)
-            _set(node, "_hash", hash((sym,)))
+            _set_sym(node, sym)
+            _set_hash(node, hash((sym,)))
             return node
 
     finite_word = property(attrgetter("sym"))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Letter:
-            return NotImplemented
-        return self.sym == other.sym
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Letter(sym={self.sym!r})"
@@ -109,7 +121,8 @@ class Concat(RatExpr):
             raise ExprError("concatenation needs at least two parts")
         if Concat in map(type, parts):
             raise ExprError("concatenation parts must be flattened")
-        _set(self, "parts", parts)
+        _set_parts(self, parts)
+        _set_hash(self, hash((parts,)))
 
     @property
     def finite_word(self) -> str | None:
@@ -117,21 +130,6 @@ class Concat(RatExpr):
         if Omega in map(type, self.parts):
             return None
         return "".join(map(attrgetter("sym"), self.parts))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Concat:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.parts,))
-            _set(self, "_hash", h)
-            return h
 
     def __repr__(self) -> str:
         return f"Concat(parts={self.parts!r})"
@@ -141,27 +139,19 @@ class Omega(RatExpr):
     __slots__ = ("body",)
 
     def __init__(self, body: RatExpr) -> None:
-        _set(self, "body", body)
+        _set_body(self, body)
+        _set_hash(self, hash((body,)))
 
     finite_word = None
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Omega:
-            return NotImplemented
-        return self.body == other.body
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.body,))
-            _set(self, "_hash", h)
-            return h
-
     def __repr__(self) -> str:
         return f"Omega(body={self.body!r})"
+
+
+# Each fills one slot past the immutability guard; a slot's own setter costs
+# about a quarter of object.__setattr__, and every node is made through them.
+_set_hash, _set_sym = RatExpr._hash.__set__, Letter.sym.__set__
+_set_parts, _set_body = Concat.parts.__set__, Omega.body.__set__
 
 
 def concat(parts) -> RatExpr:
@@ -179,16 +169,78 @@ def concat(parts) -> RatExpr:
     return Concat(tuple(flat))
 
 
-# -- text form ---------------------------------------------------------------
+# -- walks ------------------------------------------------------------------
+
+# Levels of an expression that a walk takes by recursion, which costs least
+# on the shallow expressions that make up most inputs, before it goes on from
+# an explicit stack, so that any nesting depth answers.
+RECURSION_LEVELS = 50
+
+
+def fold(e: RatExpr, visit: Callable[[RatExpr, list], object]):
+    """visit(e, kids), where kids holds the results of the same fold over
+    e's children: a Concat's parts in order, an Omega's body, none for a
+    Letter.  Post-order; a Concat or Omega node shared in e is visited once
+    (by identity), so a shared sub-DAG costs one visit.  The walk recurses
+    RECURSION_LEVELS levels deep at most and goes on below them from an
+    explicit stack."""
+    if type(e) is Letter:
+        return visit(e, [])
+    return _fold(e, visit, {}, RECURSION_LEVELS)
+
+
+def _fold(node: RatExpr, visit, done: dict[int, object], levels: int):
+    # node is a Concat or an Omega; a Letter child is visited in place
+    key = id(node)
+    if key in done:
+        return done[key]
+    if not levels:
+        return _fold_from_stack(node, visit, done)
+    levels -= 1
+    kids = [visit(p, []) if type(p) is Letter else _fold(p, visit, done, levels)
+            for p in (node.parts if type(node) is Concat else (node.body,))]
+    value = done[key] = visit(node, kids)
+    return value
+
+
+def _fold_from_stack(top: RatExpr, visit, done: dict[int, object]):
+    result = done.__getitem__
+    stack: list = [top]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is tuple:
+            # (node, kids) lies under node's children, which are done by now
+            node, kids = node
+            done[id(node)] = visit(node, [*map(result, map(id, kids))])
+        elif id(node) not in done:
+            if kind is Letter:
+                done[id(node)] = visit(node, [])
+            else:
+                kids = node.parts if kind is Concat else (node.body,)
+                stack.append((node, kids))
+                stack.extend(reversed(kids))
+    return done[id(top)]
+
 
 def format_expr(e: RatExpr) -> str:
-    if isinstance(e, Letter):
-        return e.sym
-    if isinstance(e, Omega):
-        if isinstance(e.body, Letter):
-            return f"{e.body.sym}^w"
-        return f"({format_expr(e.body)})^w"
-    return "".join(format_expr(p) for p in e.parts)
+    """The text form of e.  It spells every copy of a shared node, so it is
+    written left to right from an explicit stack, with no memo."""
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Letter:
+            out.append(node.sym)
+        elif type(node) is Concat:
+            stack.extend(reversed(node.parts))
+        elif type(node) is str:
+            out.append(node)
+        elif type(node.body) is Letter:
+            out.append(node.body.sym + "^w")
+        else:
+            stack += (")^w", node.body, "(")
+    return "".join(out)
 
 
 def parse_expr(text: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> RatExpr:
@@ -244,16 +296,45 @@ def _parse_error(text: str, msg: str, pos: int) -> ExprError:
 
 # -- length and positional operations ---------------------------------------
 
+def _length(node: RatExpr, kids: list[Ordinal]) -> Ordinal:
+    kind = type(node)
+    return ONE if kind is Letter else kids[0] * OMEGA if kind is Omega else sum(kids, ZERO)
+
+
+_nested_misses = 0    # expr_length misses under way, one inside another
+
+
 @lru_cache(maxsize=65536)
 def expr_length(e: RatExpr) -> Ordinal:
-    if isinstance(e, Letter):
-        return Ordinal.from_int(1)
-    if isinstance(e, Omega):
-        return expr_length(e.body) * OMEGA
-    total = ZERO
-    for p in e.parts:
-        total = total + expr_length(p)
-    return total
+    """The ordinal length of e.  A miss reads each child's length through
+    this cache, as the lengths of a duplicated expression's parts are mostly
+    known, for at most RECURSION_LEVELS misses inside one another; below
+    that, a miss is one fold, which does not recurse."""
+    global _nested_misses
+    if type(e) is Letter:
+        return ONE
+    if _nested_misses == RECURSION_LEVELS:
+        return fold(e, _length)
+    _nested_misses += 1
+    try:
+        if type(e) is Omega:
+            return expr_length(e.body) * OMEGA
+        return sum(map(expr_length, e.parts), ZERO)
+    finally:
+        _nested_misses -= 1
+
+
+def _lengths(e: RatExpr) -> dict[int, Ordinal]:
+    """The length of every node of e, by identity, from one fold: the
+    positional walks below read one at each level they go down."""
+    lengths: dict[int, Ordinal] = {}
+
+    def visit(node: RatExpr, kids: list[Ordinal]) -> Ordinal:
+        lengths[id(node)] = length = _length(node, kids)
+        return length
+
+    fold(e, visit)
+    return lengths
 
 
 def power(e: RatExpr, alpha: Ordinal) -> RatExpr:
@@ -270,23 +351,26 @@ def power(e: RatExpr, alpha: Ordinal) -> RatExpr:
     return concat(parts)
 
 
-def _check_position(e: RatExpr, gamma: Ordinal) -> None:
-    if gamma >= expr_length(e):
+def _check_position(e: RatExpr, gamma: Ordinal) -> dict[int, Ordinal]:
+    """The lengths of e's nodes, once gamma is found to be a position of e."""
+    lengths = _lengths(e)
+    if gamma >= lengths[id(e)]:
         raise ExprError(f"position {gamma} out of range for {format_expr(e)}")
+    return lengths
 
 
 def letter_at(e: RatExpr, gamma: Ordinal) -> str:
     """Letter at ordinal position gamma (0-based)."""
-    _check_position(e, gamma)
+    lengths = _check_position(e, gamma)
     while True:
         if isinstance(e, Letter):
             return e.sym
         if isinstance(e, Omega):
-            _, gamma = div_left(gamma, expr_length(e.body))
+            _, gamma = div_left(gamma, lengths[id(e.body)])
             e = e.body
             continue
         for p in e.parts:
-            size = expr_length(p)
+            size = lengths[id(p)]
             if gamma < size:
                 e = p
                 break
@@ -294,62 +378,65 @@ def letter_at(e: RatExpr, gamma: Ordinal) -> str:
 
 
 def prefix_to(e: RatExpr, gamma: Ordinal) -> RatExpr:
-    """The prefix of length gamma, 0 < gamma <= |e|."""
+    """The prefix of length gamma, 0 < gamma <= |e|: what lies before the
+    cut, read down the one part that the cut falls inside."""
     if gamma.is_zero:
         raise ExprError("empty prefix")
-    if gamma > expr_length(e):
+    lengths = _lengths(e)
+    if gamma > lengths[id(e)]:
         raise ExprError(f"prefix length {gamma} exceeds |{format_expr(e)}|")
-    return _prefix(e, gamma)
-
-
-def _prefix(e: RatExpr, gamma: Ordinal) -> RatExpr:
-    if isinstance(e, Letter):
-        return e
-    if isinstance(e, Omega):
-        q, r = div_left(gamma, expr_length(e.body))
-        parts = [] if q.is_zero else [power(e.body, q)]
-        if not r.is_zero:
-            parts.append(_prefix(e.body, r))
-        return concat(parts)
     out: list[RatExpr] = []
-    rest = gamma
-    for p in e.parts:
-        if rest.is_zero:
+    while not gamma.is_zero:
+        if type(e) is Letter:
+            out.append(e)
             break
-        size = expr_length(p)
-        if size <= rest:
+        if type(e) is Omega:
+            q, gamma = div_left(gamma, lengths[id(e.body)])
+            if not q.is_zero:
+                out.append(power(e.body, q))
+            e = e.body
+            continue
+        for p in e.parts:
+            size = lengths[id(p)]
+            if gamma < size:
+                e = p
+                break
             out.append(p)
-            rest = sub_left(size, rest)
+            gamma = sub_left(size, gamma)
+            if gamma.is_zero:
+                break
         else:
-            out.append(_prefix(p, rest))
-            rest = ZERO
+            raise AssertionError("position out of range")
     return concat(out)
 
 
 def suffix_from(e: RatExpr, gamma: Ordinal) -> RatExpr:
-    """The suffix starting at position gamma, 0 <= gamma < |e|."""
-    _check_position(e, gamma)
-    return _suffix(e, gamma)
-
-
-def _suffix(e: RatExpr, gamma: Ordinal) -> RatExpr:
-    if gamma.is_zero:
-        return e
-    if isinstance(e, Omega):
-        _, r = div_left(gamma, expr_length(e.body))
-        # u^w = (suffix of u) u^w: the remaining copies absorb the quotient.
-        if r.is_zero:
-            return e
-        return concat([_suffix(e.body, r), e])
-    assert isinstance(e, Concat)
-    for idx, p in enumerate(e.parts):
-        size = expr_length(p)
-        if gamma < size:
-            return concat([_suffix(p, gamma)] + list(e.parts[idx + 1:]))
-        gamma = sub_left(size, gamma)
-        if gamma.is_zero:
-            return concat(e.parts[idx + 1:])
-    raise AssertionError("position out of range")
+    """The suffix starting at position gamma, 0 <= gamma < |e|: the cut part's
+    suffix, read down the one part that the cut falls inside, then what
+    follows that part at each level, innermost level first."""
+    lengths = _check_position(e, gamma)
+    tails: list[tuple[RatExpr, ...]] = []
+    while not gamma.is_zero:
+        if type(e) is Omega:
+            # u^w = (suffix of u) u^w: the remaining copies absorb the quotient.
+            _, gamma = div_left(gamma, lengths[id(e.body)])
+            if not gamma.is_zero:
+                tails.append((e,))
+                e = e.body
+            continue
+        for idx, p in enumerate(e.parts):
+            size = lengths[id(p)]
+            if gamma < size:
+                tails.append(e.parts[idx + 1:])
+                e = p
+                break
+            gamma = sub_left(size, gamma)
+            if gamma.is_zero:
+                e = concat(e.parts[idx + 1:])
+                break
+        else:
+            raise AssertionError("position out of range")
+    return concat([e] + [p for tail in reversed(tails) for p in tail])
 
 
 def as_finite_word(e: RatExpr) -> str | None:

@@ -1,4 +1,4 @@
-"""Structural prime factorization, computed by recursion on the expression.
+"""Structural prime factorization, computed bottom-up over the expression.
 
 Factorizations of subexpressions are merged at their boundary (adjacent
 non-decreasing prime powers always combine into one), and an w-power is
@@ -18,8 +18,8 @@ expressions only."""
 
 from __future__ import annotations
 
-from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
-                   as_finite_word, concat, format_expr, power, word_expr)
+from .expr import (RECURSION_LEVELS, Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
+                   as_finite_word, concat, fold, format_expr, power, word_expr)
 from .factorizer import Factorization
 from .order import CompareOutcome, compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
@@ -137,12 +137,23 @@ def fact_omega(blocks: list[tuple[Prime, Ordinal]],
 
 
 def factorize_structural(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> Factorization:
-    def go(node: RatExpr) -> list[tuple[Prime, Ordinal]]:
+    def visit(node: RatExpr, kids: list) -> list[tuple[Prime, Ordinal]]:
         if type(node) is Letter:
             return [(node.sym, ONE)]
         if type(node) is Omega:
-            return fact_omega(go(node.body), alphabet)
+            return fact_omega(kids[0], alphabet)
         # one product of all the parts' blocks: fact_product folds over them
-        return fact_product([], [b for p in node.parts for b in go(p)], alphabet)
+        return fact_product([], [b for blocks in kids for b in blocks], alphabet)
 
-    return Factorization(tuple((_expr(p), alpha) for p, alpha in go(e)))
+    def go(node: RatExpr, levels: int) -> list[tuple[Prime, Ordinal]]:
+        # visit, recursing into the children itself, which is cheapest on
+        # shallow inputs; RECURSION_LEVELS down, fold takes the rest
+        if type(node) is Letter:
+            return [(node.sym, ONE)]
+        if not levels:
+            return fold(node, visit)
+        if type(node) is Omega:
+            return fact_omega(go(node.body, levels - 1), alphabet)
+        return fact_product([], [b for p in node.parts for b in go(p, levels - 1)], alphabet)
+
+    return Factorization(tuple((_expr(p), alpha) for p, alpha in go(e, RECURSION_LEVELS)))

@@ -1,12 +1,18 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratword import cli
 from ratword.automaton import AutomatonError, MissingLimitError
 from ratword.cli import main
+from ratword.duplication import TAU_TOKENS
+from ratword.expr import ExprError, parse_expr
 from ratword.ordinal import OrdinalError
 from ratword.runner import TraceError
 from ratword.structural import StructuralError
@@ -159,8 +165,9 @@ def test_deep_nesting_is_an_input_error(capsys, argv):
 
 
 def test_batch_records_deep_nesting(tmp_path, capsys):
-    """A line nested past the recursion limit, and one whose tau recurses
-    past it, are recorded with the message the other commands print."""
+    """A line nested MAX_NESTING deep is refused as on the command line, and
+    a line whose duplicated expression passes the token budget records the
+    budget's message."""
     tall = "ab"
     for _ in range(600):
         tall = f"({tall})^wb"
@@ -169,8 +176,40 @@ def test_batch_records_deep_nesting(tmp_path, capsys):
     code, out, _ = run(capsys, "batch", str(f))
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
-    assert [(r["ok"], r.get("error")) for r in records] == \
-        [(False, "expression nested too deeply")] * 2 + [(True, None)]
+    assert [(r["ok"], r.get("error")) for r in records] == [
+        (False, "expression nested too deeply"),
+        (False, f"duplicated expression exceeds {TAU_TOKENS} tokens"),
+        (True, None)]
+
+
+TOWER30 = "(" * 30 + "ab" + ")^w" * 30
+NEST800 = "(" * 800 + "a" + ")^w" * 800
+
+
+@pytest.mark.parametrize("argv", [["factorize", NEST800], ["factorize", TOWER30],
+                                  ["factorize", TOWER30, "--engine", "structural", "--marked"],
+                                  ["tau", TOWER30]],
+                         ids=["factorize-800", "factorize-tower30", "marked-tower30", "tau-tower30"])
+def test_token_budget_is_an_input_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert err == f"error: duplicated expression exceeds {TAU_TOKENS} tokens\n"
+    assert out == ("(ab)^[w^30]\n" if "--marked" in argv else "")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(alphabet="ab()^wω x", max_size=30))
+def test_any_short_text_answers_or_is_an_input_error(text):
+    """parse_expr raises nothing but ExprError, and the CLI exits 0 or 1:
+    never a traceback, and no engine disagreement (exit 2)."""
+    try:
+        parse_expr(text)
+    except ExprError:
+        pass
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["factorize", text, "--engine", "both"]) in (0, 1)
 
 
 def test_batch_missing_file(capsys):
