@@ -19,8 +19,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .expr import Concat, Letter, Omega, RatExpr, concat, expr_length, prefix_to, suffix_from
-from .ordinal import OMEGA, ZERO
+from .expr import Concat, Letter, Omega, RatExpr, concat, split_at
+from .ordinal import ONE, OMEGA, ZERO, sub_left
 
 
 class AutomatonError(RuntimeError):
@@ -228,17 +228,16 @@ def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:
         budget -= 1
         letter, target = auto.succ[s]
         piece: RatExpr = Letter(letter)
-        pos = pos + expr_length(piece)
+        pos = pos + ONE
         while target in first:
             entry = target
             cofinal = set(seq[first[entry]:]) | {entry}
             seq.extend(sorted(cofinal))  # every loop state is visited again
-            whole = concat(parts + [piece])
+            # pos is the length of parts and piece: the word read so far
             entry_pos = first_pos[entry]
-            body = suffix_from(whole, entry_pos)
-            parts = [] if entry_pos.is_zero else [prefix_to(whole, entry_pos)]
-            piece = Omega(body)
-            pos = entry_pos + expr_length(body) * OMEGA
+            parts, body = split_at(concat(parts + [piece]), entry_pos)
+            piece = Omega(concat(body))
+            pos = entry_pos + sub_left(entry_pos, pos) * OMEGA
             target = auto.limit_target(cofinal)
         parts.append(piece)
         seq.append(target)

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .automaton import AutomatonError, compile_expr, numbered_word, to_dot
-from .duplication import depth, tau
+from .duplication import TokenBudgetError, depth, tau
 from .expr import ExprError, format_expr, parse_expr
 from .factorizer import FactorizeError, factorize, marked_expression
 from .gen import random_expr
@@ -27,10 +27,8 @@ from .runner import TraceError
 from .structural import StructuralError, factorize_structural
 
 
-# No walk over an expression recurses without bound, so this guard limits
-# cost, not recursion depth: on w-nesting this deep, compare of two such
-# words takes seconds and prime_witness minutes, in the cascade of loop
-# closures of the runner's trace.
+# A cost guard, not a recursion guard: at this w-nesting, compare takes seconds
+# and prime_witness minutes, in the cascade of loop closures of runner's trace.
 MAX_NESTING = 1000
 
 
@@ -39,7 +37,10 @@ class CliInputError(ValueError):
 
 
 def _parse(text: str):
-    e = parse_expr(text)
+    try:
+        e = parse_expr(text)
+    except ExprError as err:
+        raise CliInputError(str(err)) from None
     if depth(e) >= MAX_NESTING:
         raise CliInputError("expression nested too deeply")
     return e
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, ExprError) as err:
+    except (CliInputError, TokenBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (FactorizeError, StructuralError, AutomatonError, TraceError, OrdinalError,

@@ -10,10 +10,14 @@ from .expr import Concat, ExprError, Letter, Omega, RatExpr, concat, fold
 TAU_TOKENS = 2 ** 18
 
 
+class TokenBudgetError(ExprError):
+    """The duplicated expression would pass TAU_TOKENS tokens."""
+
+
 def tau(e: RatExpr) -> RatExpr:
     """The duplicated expression, which shares each duplicated body.  Its
     tokens are counted in the same walk, so a blow-up stops at the level
-    that passes TAU_TOKENS, with an ExprError."""
+    that passes TAU_TOKENS, with a TokenBudgetError."""
 
     def visit(node: RatExpr, kids: list[tuple[RatExpr, int]]) -> tuple[RatExpr, int]:
         kind = type(node)
@@ -24,9 +28,11 @@ def tau(e: RatExpr) -> RatExpr:
             dup, tokens = concat([body, Omega(body)]), 2 * tokens + 1
         else:
             dups, counts = zip(*kids)
-            dup, tokens = concat(dups), sum(counts)
+            # a finite word, all of whose parts are letters, is its own tau
+            dup = concat(dups) if Omega in map(type, node.parts) else node
+            tokens = sum(counts)
         if tokens > TAU_TOKENS:
-            raise ExprError(f"duplicated expression exceeds {TAU_TOKENS} tokens")
+            raise TokenBudgetError(f"duplicated expression exceeds {TAU_TOKENS} tokens")
         return dup, tokens
 
     return fold(e, visit)[0]

@@ -9,7 +9,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable
 
-from .ordinal import Ordinal, div_left, sub_left, ONE, OMEGA, ZERO
+from .ordinal import Ordinal, div_left, ordinal_sum, sub_left, ONE, OMEGA
 
 
 class ExprError(ValueError):
@@ -171,41 +171,15 @@ def concat(parts) -> RatExpr:
 
 # -- walks ------------------------------------------------------------------
 
-# Levels of an expression that a walk takes by recursion, which costs least
-# on the shallow expressions that make up most inputs, before it goes on from
-# an explicit stack, so that any nesting depth answers.
-RECURSION_LEVELS = 50
-
-
 def fold(e: RatExpr, visit: Callable[[RatExpr, list], object]):
     """visit(e, kids), where kids holds the results of the same fold over
     e's children: a Concat's parts in order, an Omega's body, none for a
-    Letter.  Post-order; a Concat or Omega node shared in e is visited once
-    (by identity), so a shared sub-DAG costs one visit.  The walk recurses
-    RECURSION_LEVELS levels deep at most and goes on below them from an
-    explicit stack."""
-    if type(e) is Letter:
-        return visit(e, [])
-    return _fold(e, visit, {}, RECURSION_LEVELS)
-
-
-def _fold(node: RatExpr, visit, done: dict[int, object], levels: int):
-    # node is a Concat or an Omega; a Letter child is visited in place
-    key = id(node)
-    if key in done:
-        return done[key]
-    if not levels:
-        return _fold_from_stack(node, visit, done)
-    levels -= 1
-    kids = [visit(p, []) if type(p) is Letter else _fold(p, visit, done, levels)
-            for p in (node.parts if type(node) is Concat else (node.body,))]
-    value = done[key] = visit(node, kids)
-    return value
-
-
-def _fold_from_stack(top: RatExpr, visit, done: dict[int, object]):
+    Letter.  Post-order from an explicit stack, so any nesting depth
+    answers; a node shared in e is visited once (by identity), so a shared
+    sub-DAG costs one visit."""
+    done: dict[int, object] = {}
     result = done.__getitem__
-    stack: list = [top]
+    stack: list = [e]
     while stack:
         node = stack.pop()
         kind = type(node)
@@ -219,8 +193,13 @@ def _fold_from_stack(top: RatExpr, visit, done: dict[int, object]):
             else:
                 kids = node.parts if kind is Concat else (node.body,)
                 stack.append((node, kids))
-                stack.extend(reversed(kids))
-    return done[id(top)]
+                for kid in reversed(kids):
+                    # a Letter is visited here, once, rather than stacked
+                    if type(kid) is not Letter:
+                        stack.append(kid)
+                    elif id(kid) not in done:
+                        done[id(kid)] = visit(kid, [])
+    return done[id(e)]
 
 
 def format_expr(e: RatExpr) -> str:
@@ -298,43 +277,13 @@ def _parse_error(text: str, msg: str, pos: int) -> ExprError:
 
 def _length(node: RatExpr, kids: list[Ordinal]) -> Ordinal:
     kind = type(node)
-    return ONE if kind is Letter else kids[0] * OMEGA if kind is Omega else sum(kids, ZERO)
-
-
-_nested_misses = 0    # expr_length misses under way, one inside another
+    return ONE if kind is Letter else kids[0] * OMEGA if kind is Omega else ordinal_sum(kids)
 
 
 @lru_cache(maxsize=65536)
 def expr_length(e: RatExpr) -> Ordinal:
-    """The ordinal length of e.  A miss reads each child's length through
-    this cache, as the lengths of a duplicated expression's parts are mostly
-    known, for at most RECURSION_LEVELS misses inside one another; below
-    that, a miss is one fold, which does not recurse."""
-    global _nested_misses
-    if type(e) is Letter:
-        return ONE
-    if _nested_misses == RECURSION_LEVELS:
-        return fold(e, _length)
-    _nested_misses += 1
-    try:
-        if type(e) is Omega:
-            return expr_length(e.body) * OMEGA
-        return sum(map(expr_length, e.parts), ZERO)
-    finally:
-        _nested_misses -= 1
-
-
-def _lengths(e: RatExpr) -> dict[int, Ordinal]:
-    """The length of every node of e, by identity, from one fold: the
-    positional walks below read one at each level they go down."""
-    lengths: dict[int, Ordinal] = {}
-
-    def visit(node: RatExpr, kids: list[Ordinal]) -> Ordinal:
-        lengths[id(node)] = length = _length(node, kids)
-        return length
-
-    fold(e, visit)
-    return lengths
+    """The ordinal length of e; a miss is one fold."""
+    return fold(e, _length)
 
 
 def power(e: RatExpr, alpha: Ordinal) -> RatExpr:
@@ -351,92 +300,63 @@ def power(e: RatExpr, alpha: Ordinal) -> RatExpr:
     return concat(parts)
 
 
-def _check_position(e: RatExpr, gamma: Ordinal) -> dict[int, Ordinal]:
-    """The lengths of e's nodes, once gamma is found to be a position of e."""
-    lengths = _lengths(e)
-    if gamma >= lengths[id(e)]:
+def split_at(e: RatExpr, gamma: Ordinal) -> tuple[list[RatExpr], list[RatExpr]]:
+    """The parts of e before position gamma and the parts from it on, for
+    0 <= gamma <= |e|: read down the one part that the cut falls inside,
+    where at each level the parts before that part join the prefix and the
+    parts after it the suffix.  One fold of e gives every length read."""
+    lengths: dict[int, Ordinal] = {}
+
+    def measure(node: RatExpr, kids: list[Ordinal]) -> Ordinal:
+        lengths[id(node)] = length = _length(node, kids)
+        return length
+
+    length = fold(e, measure)
+    if gamma >= length:
+        if gamma == length:
+            return [e], []
         raise ExprError(f"position {gamma} out of range for {format_expr(e)}")
-    return lengths
+    before: list[RatExpr] = []
+    tails: list[tuple[RatExpr, ...]] = []
+    while not gamma.is_zero:
+        if type(e) is Omega:
+            # u^w = u^q (suffix of u) u^w, so the cut falls inside a copy of
+            # u, or before the copies that follow the first q
+            q, gamma = div_left(gamma, lengths[id(e.body)])
+            if not q.is_zero:
+                before.append(power(e.body, q))
+            if not gamma.is_zero:
+                tails.append((e,))
+                e = e.body
+        else:
+            parts, idx = e.parts, 0
+            while lengths[id(parts[idx])] <= gamma:
+                gamma = sub_left(lengths[id(parts[idx])], gamma)
+                idx += 1
+            before += parts[:idx]
+            tails.append(parts[idx + 1:])
+            e = parts[idx]
+    return before, [e] + [p for tail in reversed(tails) for p in tail]
 
 
 def letter_at(e: RatExpr, gamma: Ordinal) -> str:
     """Letter at ordinal position gamma (0-based)."""
-    lengths = _check_position(e, gamma)
-    while True:
-        if isinstance(e, Letter):
-            return e.sym
-        if isinstance(e, Omega):
-            _, gamma = div_left(gamma, lengths[id(e.body)])
-            e = e.body
-            continue
-        for p in e.parts:
-            size = lengths[id(p)]
-            if gamma < size:
-                e = p
-                break
-            gamma = sub_left(size, gamma)
+    return first_letters(suffix_from(e, gamma), 1)
 
 
 def prefix_to(e: RatExpr, gamma: Ordinal) -> RatExpr:
-    """The prefix of length gamma, 0 < gamma <= |e|: what lies before the
-    cut, read down the one part that the cut falls inside."""
+    """The prefix of length gamma, 0 < gamma <= |e|."""
     if gamma.is_zero:
         raise ExprError("empty prefix")
-    lengths = _lengths(e)
-    if gamma > lengths[id(e)]:
-        raise ExprError(f"prefix length {gamma} exceeds |{format_expr(e)}|")
-    out: list[RatExpr] = []
-    while not gamma.is_zero:
-        if type(e) is Letter:
-            out.append(e)
-            break
-        if type(e) is Omega:
-            q, gamma = div_left(gamma, lengths[id(e.body)])
-            if not q.is_zero:
-                out.append(power(e.body, q))
-            e = e.body
-            continue
-        for p in e.parts:
-            size = lengths[id(p)]
-            if gamma < size:
-                e = p
-                break
-            out.append(p)
-            gamma = sub_left(size, gamma)
-            if gamma.is_zero:
-                break
-        else:
-            raise AssertionError("position out of range")
-    return concat(out)
+    return concat(split_at(e, gamma)[0])
 
 
 def suffix_from(e: RatExpr, gamma: Ordinal) -> RatExpr:
-    """The suffix starting at position gamma, 0 <= gamma < |e|: the cut part's
-    suffix, read down the one part that the cut falls inside, then what
-    follows that part at each level, innermost level first."""
-    lengths = _check_position(e, gamma)
-    tails: list[tuple[RatExpr, ...]] = []
-    while not gamma.is_zero:
-        if type(e) is Omega:
-            # u^w = (suffix of u) u^w: the remaining copies absorb the quotient.
-            _, gamma = div_left(gamma, lengths[id(e.body)])
-            if not gamma.is_zero:
-                tails.append((e,))
-                e = e.body
-            continue
-        for idx, p in enumerate(e.parts):
-            size = lengths[id(p)]
-            if gamma < size:
-                tails.append(e.parts[idx + 1:])
-                e = p
-                break
-            gamma = sub_left(size, gamma)
-            if gamma.is_zero:
-                e = concat(e.parts[idx + 1:])
-                break
-        else:
-            raise AssertionError("position out of range")
-    return concat([e] + [p for tail in reversed(tails) for p in tail])
+    """The suffix starting at position gamma, 0 <= gamma < |e|."""
+    after = split_at(e, gamma)[1]
+    if not after:
+        raise ExprError(f"position {gamma} out of range for {format_expr(e)}")
+    return concat(after)
 
 
 def as_finite_word(e: RatExpr) -> str | None:

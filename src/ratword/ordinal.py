@@ -118,6 +118,24 @@ def _cnf(terms: tuple[tuple[int, int], ...]) -> Ordinal:
     return a
 
 
+def ordinal_sum(items) -> Ordinal:
+    """items[0] + items[1] + ... in one pass, with no Ordinal made on the way:
+    each item drops the trailing terms of the sum so far whose exponent is
+    below its lead's, and its lead absorbs a term of the same exponent."""
+    terms: list[tuple[int, int]] = []
+    for item in items:
+        if not item.terms:
+            continue
+        lead, coeff = item.terms[0]
+        while terms and terms[-1][0] < lead:
+            terms.pop()
+        if terms and terms[-1][0] == lead:
+            coeff += terms.pop()[1]
+        terms.append((lead, coeff))
+        terms += item.terms[1:]
+    return _cnf(tuple(terms))
+
+
 ZERO = Ordinal()
 ONE = Ordinal.from_int(1)
 OMEGA = Ordinal.omega()

@@ -18,7 +18,7 @@ expressions only."""
 
 from __future__ import annotations
 
-from .expr import (RECURSION_LEVELS, Alphabet, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
+from .expr import (Alphabet, Concat, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
                    as_finite_word, concat, fold, format_expr, power, word_expr)
 from .factorizer import Factorization
 from .order import CompareOutcome, compare, word_equal
@@ -136,6 +136,12 @@ def fact_omega(blocks: list[tuple[Prime, Ordinal]],
     return blocks[:k] + [(v, beta * OMEGA)]
 
 
+# Levels of an expression that factorize_structural walks by recursion, which
+# costs least on the shallow expressions that make up most inputs, before it
+# hands deeper subtrees to fold, which walks from an explicit stack.
+RECURSION_LEVELS = 50
+
+
 def factorize_structural(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> Factorization:
     def visit(node: RatExpr, kids: list) -> list[tuple[Prime, Ordinal]]:
         if type(node) is Letter:
@@ -146,14 +152,14 @@ def factorize_structural(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> F
         return fact_product([], [b for blocks in kids for b in blocks], alphabet)
 
     def go(node: RatExpr, levels: int) -> list[tuple[Prime, Ordinal]]:
-        # visit, recursing into the children itself, which is cheapest on
-        # shallow inputs; RECURSION_LEVELS down, fold takes the rest
-        if type(node) is Letter:
+        # visit over a recursion; a letter is answered here, as a call of
+        # visit per letter costs more than the engine's own work on it
+        kind = type(node)
+        if kind is Letter:
             return [(node.sym, ONE)]
         if not levels:
             return fold(node, visit)
-        if type(node) is Omega:
-            return fact_omega(go(node.body, levels - 1), alphabet)
-        return fact_product([], [b for p in node.parts for b in go(p, levels - 1)], alphabet)
+        return visit(node, [go(p, levels - 1)
+                            for p in (node.parts if kind is Concat else (node.body,))])
 
     return Factorization(tuple((_expr(p), alpha) for p, alpha in go(e, RECURSION_LEVELS)))

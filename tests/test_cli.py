@@ -202,14 +202,18 @@ def test_token_budget_is_an_input_error(capsys, argv):
 @settings(deadline=None, max_examples=300)
 @given(st.text(alphabet="ab()^wω x", max_size=30))
 def test_any_short_text_answers_or_is_an_input_error(text):
-    """parse_expr raises nothing but ExprError, and the CLI exits 0 or 1:
-    never a traceback, and no engine disagreement (exit 2)."""
+    """parse_expr raises nothing but ExprError; the CLI answers what parses
+    (exit 0) and refuses the rest with the parser's message (exit 1).  No
+    other error escapes as an input error, and no engine disagrees (exit 2)."""
     try:
         parse_expr(text)
-    except ExprError:
-        pass
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["factorize", text, "--engine", "both"]) in (0, 1)
+        refusal = None
+    except ExprError as err:
+        refusal = f"error: {err}\n"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["factorize", text, "--engine", "both"])
+    assert (code, err.getvalue()) == ((0, "") if refusal is None else (1, refusal))
 
 
 def test_batch_missing_file(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratword.ordinal import (Ordinal, OrdinalError, div_left, format_ordinal,
-                             parse_ordinal, sub_left)
+                             ordinal_sum, parse_ordinal, sub_left)
 
 W = Ordinal.omega
 
@@ -210,6 +210,15 @@ def test_additive_monotonicity(a, b):
 @given(triples, triples)
 def test_triple_model_add(x, y):
     assert to_triple(from_triple(x) + from_triple(y)) == t_add(x, y)
+
+
+@given(st.lists(triples, max_size=6))
+def test_triple_model_sum(xs):
+    """ordinal_sum adds in one pass what the model adds left to right."""
+    expected = (0, 0, 0)
+    for x in xs:
+        expected = t_add(expected, x)
+    assert to_triple(ordinal_sum(map(from_triple, xs))) == expected
 
 
 @given(triples, triples)
