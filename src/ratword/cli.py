@@ -27,8 +27,9 @@ from .runner import TraceError
 from .structural import StructuralError, factorize_structural
 
 
-# A cost guard, not a recursion guard: at this w-nesting, compare takes seconds
-# and prime_witness minutes, in the cascade of loop closures of runner's trace.
+# A cost guard, not a recursion guard: at this w-nesting, prime_witness takes
+# minutes, and compare seconds on two words that agree on their first w letters
+# but are not equal expressions, in the cascade of loop closures of runner's trace.
 MAX_NESTING = 1000
 
 

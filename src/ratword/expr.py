@@ -136,11 +136,15 @@ class Concat(RatExpr):
 
 
 class Omega(RatExpr):
-    __slots__ = ("body",)
+    """An w-power.  Its second slot keeps what `omega_prefix` found for it,
+    as (u, start, p) for the prefix u[start:] p^w: a memo and not a field,
+    which equality, hashing, repr and pickling ignore."""
+    __slots__ = ("body", "_omega_prefix")
 
     def __init__(self, body: RatExpr) -> None:
         _set_body(self, body)
         _set_hash(self, hash((body,)))
+        _set_omega_prefix(self, None)
 
     finite_word = None
 
@@ -152,6 +156,7 @@ class Omega(RatExpr):
 # about a quarter of object.__setattr__, and every node is made through them.
 _set_hash, _set_sym = RatExpr._hash.__set__, Letter.sym.__set__
 _set_parts, _set_body = Concat.parts.__set__, Omega.body.__set__
+_set_omega_prefix = Omega._omega_prefix.__set__
 
 
 def concat(parts) -> RatExpr:
@@ -372,24 +377,48 @@ def word_expr(word: str) -> RatExpr:
     return Concat(tuple(map(Letter, word)))
 
 
+def omega_prefix(e: RatExpr) -> tuple[str, str]:
+    """(u, p) with u p^w the first w letters of e, for e containing an
+    w-power.  A loop down the left spine: the letters before a Concat's
+    first w-power join u, and the first w-power with a finite body gives p.
+    Every Omega passed on the way there keeps its own answer, so a later
+    call stops at the first Omega it meets; an Omega with a finite body
+    keeps none, since it answers at once."""
+    read: list[str] = []        # the letters before node
+    passed: list[tuple[Omega, int]] = []     # each with len(read) there
+    node = e
+    while True:
+        if type(node) is Concat:
+            try:
+                i = [*map(type, node.parts)].index(Omega)
+            except ValueError:
+                raise ExprError(f"{format_expr(e)} has no w-power") from None
+            read += map(attrgetter("sym"), node.parts[:i])
+            node = node.parts[i]
+        elif type(node) is not Omega:
+            raise ExprError(f"{format_expr(e)} has no w-power")
+        elif node._omega_prefix is not None:
+            u, start, p = node._omega_prefix
+            u = u[start:]
+            break
+        else:
+            u, p = "", node.body.finite_word
+            if p is not None:
+                break
+            passed.append((node, len(read)))
+            node = node.body
+    u = "".join(read) + u
+    for node, start in passed:
+        # an Omega's u is u[start:]; sharing u keeps a deep spine linear
+        _set_omega_prefix(node, (u, start, p))
+    return u, p
+
+
 def first_letters(e: RatExpr, n: int) -> str:
-    """The first n letters of e, or all of e when it is shorter.  Iterative,
-    and reads no further than it must: an w-power's first copy of a body
-    containing an w-power is already longer than any n."""
-    out: list[str] = []
-    stack = [e]
-    while stack and n > 0:
-        node = stack.pop()
-        word = node.finite_word
-        if word is None:
-            if type(node) is not Omega:
-                stack.extend(reversed(node.parts))
-                continue
-            word = node.body.finite_word
-            if word is None:
-                stack.append(node.body)
-                continue
-            word *= n // len(word) + 1
-        out.append(word[:n])
-        n -= len(word)
-    return "".join(out)
+    """The first n letters of e, or all of e when it is shorter: a slice of
+    the string of a finite e, else of e's w-prefix u p^w."""
+    word = e.finite_word
+    if word is None:
+        u, p = omega_prefix(e)
+        word = u + p * (n // len(p) + 1)
+    return word[:n]

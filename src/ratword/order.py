@@ -4,10 +4,16 @@ A finite word, given as an expression without w-power or as a plain str,
 is compared as a string.  Against a transfinite word it is compared with
 that word's first len(u) + 1 letters: the transfinite word is longer than
 any finite one, so the outcome (relation, position, letters) is the same as
-a comparison of the whole words, and no automaton is built.  Only two
-transfinite words run the synchronized product of their compiled automata;
-the trace position at divergence is the ordinal position of the first
-differing letter.
+a comparison of the whole words, and no automaton is built.
+
+Two transfinite words are first compared on their w-prefixes u1 p1^w and
+u2 p2^w (`expr.omega_prefix`).  By Fine and Wilf's theorem two such words
+that differ at all differ within max(|u1|, |u2|) + |p1| + |p2| letters, so
+a string compare of that many letters finds the first difference of any two
+words whose first w letters differ.  Only two words that agree on their
+first w letters and are not equal expressions run the synchronized product
+of their compiled automata; the trace position at divergence is the ordinal
+position of the first differing letter.
 
 The structural engine makes up to two compares per letter of a finite word,
 so a string compare allocates little beyond the string work: one outcome
@@ -20,7 +26,7 @@ from operator import itemgetter
 
 from .automaton import compile_expr
 from .expr import (Alphabet, DEFAULT_ALPHABET, RatExpr, as_finite_word, expr_length,
-                   first_letters)
+                   first_letters, omega_prefix)
 from .ordinal import Ordinal
 from .runner import BothEnded, Diverged, LeftEnded, RightEnded, run_to_divergence
 
@@ -117,6 +123,15 @@ def compare(x: RatExpr | str, y: RatExpr | str,
                                alphabet)
     if v is not None:
         return _compare_finite(first_letters(x, len(v) + 1), v, alphabet)
+    if x is y:
+        return _EQUAL_OUTCOME
+    (u1, p1), (u2, p2) = omega_prefix(x), omega_prefix(y)
+    n = max(len(u1), len(u2)) + len(p1) + len(p2)
+    u, v = (u1 + p1 * (n // len(p1) + 1))[:n], (u2 + p2 * (n // len(p2) + 1))[:n]
+    if u != v:
+        return _compare_finite(u, v, alphabet)
+    if x == y:
+        return _EQUAL_OUTCOME
     return compare_via_automata(x, y, alphabet)
 
 

@@ -91,6 +91,27 @@ def test_structural_engine_answers_deep_nesting_fast():
     assert len(fact.blocks) == 1 and fact.blocks[0][0] == e
 
 
+def test_structural_engine_is_linear_on_a_lettered_nesting():
+    """Each level compares the growing transfinite prime with the letter b,
+    which reads the prime's first letters from its stored w-prefix."""
+    e = parse_expr(nest(3000, "b" * 3000))
+    start = time.perf_counter()
+    fact = factorize_structural(e)
+    assert time.perf_counter() - start < 1
+    assert fact.blocks == ((e, Ordinal.from_int(1)),)
+
+
+@pytest.mark.parametrize("text", [nest(999), nest(999, "b" * 999)], ids=["a", "ab"])
+def test_separately_parsed_equal_nestings_compare_fast(text):
+    """Two equal words that agree on their first w letters are equal
+    expressions, so no product run is made."""
+    x, y = parse_expr(text), parse_expr(text)
+    start = time.perf_counter()
+    out = compare(x, y)
+    assert time.perf_counter() - start < 1
+    assert out.rel is Rel.EQUAL
+
+
 @pytest.mark.parametrize("text", [tower(30), nest(800)], ids=["tower30", "nest800"])
 def test_factorize_refuses_the_token_budget_fast(text):
     e = parse_expr(text)

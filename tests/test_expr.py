@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
 from ratword.expr import (Alphabet, Concat, ExprError, Letter, Omega, as_finite_word, concat,
-                          expr_length, first_letters, format_expr, letter_at, parse_expr,
-                          power, prefix_to, suffix_from, word_expr)
+                          expr_length, first_letters, format_expr, letter_at, omega_prefix,
+                          parse_expr, power, prefix_to, suffix_from, word_expr)
 from ratword.gen import random_expr, random_ordinal
 from ratword.order import compare, word_equal
 from ratword.ordinal import Ordinal, ZERO
@@ -212,6 +212,81 @@ def test_first_letters_examples():
     assert first_letters(parse_expr("a^w"), 0) == ""
     deep = parse_expr("(" * 5000 + "ab" + ")^w" * 5000)
     assert first_letters(deep, 3) == "aba"
+
+
+def first_letters_by_stack(e, n):
+    """The first n letters of e, read by a walk of the tree from an explicit
+    stack: the oracle for the w-prefix path of first_letters."""
+    out = []
+    stack = [e]
+    while stack and n > 0:
+        node = stack.pop()
+        word = node.finite_word
+        if word is None:
+            if type(node) is not Omega:
+                stack.extend(reversed(node.parts))
+                continue
+            word = node.body.finite_word
+            if word is None:
+                stack.append(node.body)
+                continue
+            word *= n // len(word) + 1
+        out.append(word[:n])
+        n -= len(word)
+    return "".join(out)
+
+
+EXPRS = st.recursive(
+    st.sampled_from("abc").map(Letter),
+    lambda kids: st.one_of(kids.map(Omega), st.lists(kids, min_size=2, max_size=4).map(concat)),
+    max_leaves=20)
+
+
+@settings(deadline=None, max_examples=300)
+@given(EXPRS, st.integers(0, 50))
+def test_first_letters_matches_the_stack_walk(e, n):
+    expected = first_letters_by_stack(e, n)
+    for node in subtrees(e):
+        first_letters(node, n)      # fills the memos below e
+    assert first_letters(e, n) == expected
+    assert first_letters(rebuild(e), n) == expected
+
+
+def test_omega_prefix_examples():
+    for text, prefix in [("a^w", ("", "a")), ("ba(ab)^wc", ("ba", "ab")),
+                         ("c((ab)^wb)^w", ("c", "ab")), ("(b(c(a)^w)^w)^w", ("bc", "a")),
+                         ("(" * 5000 + "ab" + ")^w" * 5000, ("", "ab"))]:
+        e = parse_expr(text)
+        assert omega_prefix(e) == omega_prefix(e) == prefix
+    nested = parse_expr("(b(c(a)^w)^w)^w")
+    omega_prefix(nested)
+    # every Omega passed keeps its own answer, as a start in one shared u;
+    # the innermost, with a finite body, keeps none
+    memos = [x._omega_prefix for x in subtrees(nested) if type(x) is Omega]
+    assert memos == [("bc", 0, "a"), ("bc", 1, "a"), None]
+    assert memos[0][0] is memos[1][0]
+    for finite in (parse_expr("abc"), Letter("a")):
+        with pytest.raises(ExprError, match="no w-power"):
+            omega_prefix(finite)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_omega_prefix_memo_is_not_a_field(seed):
+    """Filling the memo leaves equality, hash, repr and pickling as they were."""
+    for root in derived_exprs(seed):
+        nodes = list(subtrees(root))
+        before = [(hash(x), repr(x), pickle.dumps(x)) for x in nodes]
+        for x in nodes:
+            if as_finite_word(x) is None:
+                omega_prefix(x)
+        assert [(hash(x), repr(x), pickle.dumps(x)) for x in nodes] == before
+        for x in nodes:
+            fresh = rebuild(x)
+            assert fresh == x and x == fresh and hash(fresh) == hash(x)
+            assert pickle.loads(pickle.dumps(x)) == x
+            if as_finite_word(x) is None:
+                assert omega_prefix(fresh) == omega_prefix(x)
 
 
 def test_word_expr_builds_what_concat_builds():

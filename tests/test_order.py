@@ -6,10 +6,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratword import order
 from ratword.automaton import compile_expr
 from ratword.duplication import tau
-from ratword.expr import (Alphabet, Letter, Omega, as_finite_word, concat, letter_at,
-                          parse_expr, prefix_to)
+from ratword.expr import (Alphabet, Letter, Omega, as_finite_word, concat, first_letters,
+                          format_expr, letter_at, parse_expr, prefix_to)
 from ratword.gen import random_expr, random_finite_word
 from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compare_via_automata,
                            word_equal)
@@ -142,14 +143,19 @@ def test_finite_agreement_with_plain_strings(seed):
     assert fast.letters == slow.letters
 
 
+def transfinite_expr(rng):
+    x = random_expr(rng, max_size=10, max_depth=3, letters="abc")
+    if as_finite_word(x) is not None:
+        x = concat([x, Omega(random_expr(rng, max_size=4, max_depth=1, letters="abc"))])
+    return x
+
+
 def finite_and_transfinite(rng, as_prefix):
     """(u, x): a finite expression u and a transfinite expression x.  With
     as_prefix, u is x's prefix of a random finite length, perhaps followed
     by one random letter, so both prefix outcomes and a divergence right
     after the prefix come up."""
-    x = random_expr(rng, max_size=10, max_depth=3, letters="abc")
-    if as_finite_word(x) is not None:
-        x = concat([x, Omega(random_expr(rng, max_size=4, max_depth=1, letters="abc"))])
+    x = transfinite_expr(rng)
     if not as_prefix:
         return parse_expr(random_finite_word(rng, 12, "abc")), x
     u = prefix_to(x, fin(rng.randint(1, 14)))
@@ -294,3 +300,41 @@ def test_divergence_position_reads_the_letters(seed):
     assert letter_at(x, p) == a and letter_at(y, p) == b
     if not p.is_zero:
         assert word_equal(prefix_to(x, p), prefix_to(y, p))
+
+
+def transfinite_pairs(rng, count):
+    """count pairs of transfinite words.  Every second pair shares a drawn
+    transfinite prefix, so the two agree on their first w letters."""
+    for i in range(count):
+        if i % 2:
+            common = transfinite_expr(rng)
+            yield (concat([common, random_expr(rng, max_size=6, max_depth=2, letters="abc")]),
+                   concat([common, random_expr(rng, max_size=6, max_depth=2, letters="abc")]))
+        else:
+            yield transfinite_expr(rng), transfinite_expr(rng)
+
+
+def test_transfinite_compare_agrees_with_the_product_run(monkeypatch):
+    """On 10k pairs of transfinite words, compare (w-prefixes first, the
+    product run only past them) gives the product run's relation, position
+    and letters."""
+    product = compare_via_automata
+    calls = []
+
+    def counted(x, y, alphabet):
+        # only words that agree on their first w letters reach the product run
+        assert first_letters(x, 100) == first_letters(y, 100)
+        calls.append(x)
+        return product(x, y, alphabet)
+
+    monkeypatch.setattr(order, "compare_via_automata", counted)
+    pairs = [(parse_expr("b((bb)^w)^w(abbb)^w"), parse_expr("(b(bb)^w)^wa"))]
+    pairs += transfinite_pairs(random.Random(12), 10_000)
+    for x, y in pairs:
+        fast, slow = compare(x, y), product(x, y)
+        assert (fast.rel, fast.position, fast.letters) == \
+            (slow.rel, slow.position, slow.letters), (format_expr(x), format_expr(y))
+    # the pairs that share a prefix reach the product run, unless equal
+    assert len(calls) > len(pairs) // 4
+    compile_expr.cache_clear()
+
