@@ -33,7 +33,12 @@ class MissingLimitError(AutomatonError):
 
 class SingleWordAutomaton:
     """The transitions are the one source of the token structure, and
-    nodes[s] is the Letter or Omega node that token s was compiled from."""
+    nodes[s] is the Letter or Omega node that token s was compiled from.
+
+    No transition skips ahead: the successor of s goes to at most s + 1 and
+    the limit on (lo, hi) goes to hi + 1.  The product run relies on this to
+    carry the states a loop collapses as an interval (see `runner.Trace`),
+    so construction checks it and raises AutomatonError otherwise."""
     initial = 0
 
     def __init__(self, succ, limits, nodes):
@@ -44,6 +49,12 @@ class SingleWordAutomaton:
         # (letter, target) of the transition leaving s, or None at the final
         # state: a bound tuple lookup, so a step runs no Python frame
         self.leaving = (self.succ + (None,)).__getitem__
+        for s, (_, target) in enumerate(self.succ):
+            if target > s + 1:
+                raise AutomatonError(f"successor {s}->{target} skips ahead")
+        for (lo, hi), target in self.limits.items():
+            if target != hi + 1:
+                raise AutomatonError(f"limit {{{lo}..{hi}}}->{target} does not leave to {hi + 1}")
 
     @cached_property
     def tokens(self) -> tuple[tuple, ...]:
@@ -62,11 +73,15 @@ class SingleWordAutomaton:
             depth[hi + 1] -= 1
         return bytes(d > 0 for d in accumulate(depth[:-1]))
 
-    def limit_target(self, states) -> int:
-        lo, hi = min(states), max(states)
-        if len(states) == hi - lo + 1 and (lo, hi) in self.limits:
+    def limit_target(self, lo: int, hi: int) -> int:
+        """The target of the limit transition taken when the states lo..hi
+        repeat cofinally.  The run only ever collapses a whole interval (see
+        `runner.Trace`), so lo and hi name the set."""
+        try:
             return self.limits[(lo, hi)]
-        raise MissingLimitError(f"no limit transition for cofinal set {sorted(states)}")
+        except KeyError:
+            raise MissingLimitError(
+                f"no limit transition for cofinal interval [{lo}, {hi}]") from None
 
 
 @lru_cache(maxsize=65536)
@@ -100,21 +115,20 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
 
 def validate(auto: SingleWordAutomaton) -> list[str]:
     """Structural sanity report; empty list means well-formed.  A debug
-    check: compile_expr does not run it."""
+    check: compile_expr does not run it.  That no transition skips ahead is
+    checked when the automaton is built."""
     problems = []
     n = auto.n
     entering: dict[int, list[tuple[str, str]]] = {}
     for s, (letter, target) in enumerate(auto.succ):
-        if not 1 <= target <= s + 1:
-            problems.append(f"successor {s}->{target} skips ahead")
+        if target < 1:
+            problems.append(f"successor {s}->{target} leaves the states")
         entering.setdefault(target, []).append(("succ", letter))
         if target <= s and (target, s) not in auto.limits:
             problems.append(f"backward transition {s}->{target} lacks a limit transition")
     for (lo, hi), target in auto.limits.items():
         if not (0 < lo <= hi < target <= n):
             problems.append(f"limit {{{lo}..{hi}}}->{target} malformed")
-        if target != hi + 1:
-            problems.append(f"limit {{{lo}..{hi}}}->{target} does not leave its interval")
         entering.setdefault(target, []).append(("limit", ""))
     # Limit intervals must nest or be disjoint.  Sweep them by start, outer
     # first, keeping the chain of intervals that enclose the current start.
@@ -166,11 +180,12 @@ class SharpAutomaton:
             return self._back
         return self._succ[s]
 
-    def limit_target(self, states) -> int:
-        if min(states) == self.i + 1 and max(states) == self.j \
-                and len(states) == self.j - self.i:
+    def limit_target(self, lo: int, hi: int) -> int:
+        """The added limit on the interval i+1..j, or the base automaton's
+        limit on lo..hi if it stays within [i, j]."""
+        if lo == self.i + 1 and hi == self.j:
             return self.j
-        target = self.base.limit_target(states)
+        target = self.base.limit_target(lo, hi)
         if target > self.j:
             raise MissingLimitError(f"limit target {target} escapes sharp [{self.i},{self.j}]")
         return target
@@ -238,7 +253,7 @@ def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:
             parts, body = split_at(concat(parts + [piece]), entry_pos)
             piece = Omega(concat(body))
             pos = entry_pos + sub_left(entry_pos, pos) * OMEGA
-            target = auto.limit_target(cofinal)
+            target = auto.limit_target(min(cofinal), max(cofinal))
         parts.append(piece)
         seq.append(target)
         first[target] = len(seq) - 1

@@ -28,8 +28,7 @@ from .structural import StructuralError, factorize_structural
 
 
 # A cost guard, not a recursion guard: at this w-nesting, prime_witness takes
-# minutes, and compare seconds on two words that agree on their first w letters
-# but are not equal expressions, in the cascade of loop closures of runner's trace.
+# minutes, in the suffix_word and split_at calls it makes for each state.
 MAX_NESTING = 1000
 
 

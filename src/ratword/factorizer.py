@@ -98,7 +98,8 @@ def factorize_states(auto: SingleWordAutomaton, alphabet: Alphabet = DEFAULT_ALP
             case = "1a"
             seen_left.add(outcome.pair[0])
         elif isinstance(outcome, LoopClosed):
-            case = "1c" if j in outcome.rights else "1b"
+            span = outcome.span
+            case = "1c" if span[2] <= j <= span[3] else "1b"
             seen_left.add(outcome.pair[0])
         elif isinstance(outcome, RightEnded):
             raise FactorizeError("sharp automaton has no final state; cannot end")

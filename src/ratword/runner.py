@@ -7,12 +7,12 @@ transitions.  The trace does not store the ordinal position at which each
 pair was first reached: a pair reached by a letter sits one past the pair
 before it, and a pair reached by limit transitions keeps the loop entries of
 the cascade that reached it, so `Trace.position` derives a position only
-when asked."""
+when asked.  The component states that a closure collapses are carried as
+intervals `(lo, hi)`: see `Trace`."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
 
 from .ordinal import Ordinal, sub_left, OMEGA, ONE, ZERO
@@ -28,9 +28,25 @@ class Trace:
     The first entry and every entry reached by a loop closure are limit
     entries; every other entry was reached by a letter from the entry before
     it.  A limit entry records the indices of the loop entries its cascade
-    closed on, and the component states those closures collapsed (plain
-    sets, which nothing mutates); the states recur in any later loop whose
-    window contains the entry."""
+    closed on, and the component states those closures collapsed; the
+    states recur in any later loop whose window contains the entry.
+
+    The collapsed states of each component are kept as their interval: a
+    closure widens one span [llo, lhi, rlo, rhi] from the minimum and
+    maximum of its window and of the spans carried after it.  The interval
+    is exactly the set of collapsed states, because the states that a
+    component repeats cofinally in a loop are every state from the lowest
+    to the highest of them.  Take a stretch of the loop from a visit of its
+    lowest state to a later visit of its highest, and let m be the highest
+    state visited so far in the stretch.  No transition goes past m + 1:
+    - a successor from s goes to at most s + 1 (`SingleWordAutomaton`
+      refuses any other when it is built);
+    - a limit transition on (lo, hi) goes to hi + 1, and hi, repeated
+      cofinally before the limit, was visited within the stretch;
+    - the edges that `SharpAutomaton` adds go back (j -> i+1) or stay
+      inside ({i+1..j} -> j).
+    So m climbs one state at a time, and the stretch visits every state on
+    the way."""
 
     def __init__(self, first: tuple[int, int]):
         self._lefts: list[int] = [first[0]]              # the pairs, by component
@@ -38,7 +54,9 @@ class Trace:
         self._index: dict[tuple[int, int], int] = {first: 0}
         self._limit_at: list[int] = [0]                  # limit entry indices, increasing
         self._cascades: list[tuple[int, ...]] = [()]
-        self._carried: list[tuple[set[int], set[int]]] = [(set(), set())]
+        # lo, hi of the collapsed states of limit entries 1, 2, ... by component
+        self._carried_l: list[int] = []
+        self._carried_r: list[int] = []
         self._limit_pos: list[Ordinal] = [ZERO]          # of the first limit entries
 
     def __len__(self) -> int:
@@ -55,19 +73,20 @@ class Trace:
         """The left states of the pairs whose right state is `right`."""
         return set(compress(self._lefts, map(right.__eq__, self._rights)))
 
-    def collect_loop(self, idx: int, lefts: set[int], rights: set[int]) -> None:
-        """Add to lefts and rights the component states of the loop that
-        entry idx opens: the pairs from idx on, and the states carried by
-        the limit entries after idx."""
-        lefts.update(self._lefts[idx:])
-        rights.update(self._rights[idx:])
-        for k in range(bisect_right(self._limit_at, idx), len(self._limit_at)):
-            carried_l, carried_r = self._carried[k]
-            lefts |= carried_l
-            rights |= carried_r
+    def collect_loop(self, idx: int, span: list[int]) -> None:
+        """Widen span, [llo, lhi, rlo, rhi], to the component states of the
+        loop that entry idx opens: the pairs from idx on, and the spans
+        carried by the limit entries after idx."""
+        k = 2 * (bisect_right(self._limit_at, idx) - 1)
+        lefts = self._lefts[idx:]
+        lefts += self._carried_l[k:]
+        lefts += span[:2]
+        rights = self._rights[idx:]
+        rights += self._carried_r[k:]
+        rights += span[2:]
+        span[:] = min(lefts), max(lefts), min(rights), max(rights)
 
-    def append_limit(self, pair, cascade: tuple[int, ...],
-                     lefts: set[int], rights: set[int]) -> None:
+    def append_limit(self, pair, cascade: tuple[int, ...], span: list[int]) -> None:
         if pair in self._index:
             raise TraceError(f"pair {pair} repeated in trace")
         self._index[pair] = len(self._lefts)
@@ -75,7 +94,8 @@ class Trace:
         self._lefts.append(pair[0])
         self._rights.append(pair[1])
         self._cascades.append(cascade)
-        self._carried.append((lefts, rights))
+        self._carried_l += span[:2]
+        self._carried_r += span[2:]
 
     def position(self, i: int) -> Ordinal:
         """Ordinal position at which the run first reached entry i (negative
@@ -99,8 +119,8 @@ class Trace:
         return self._limit_pos[k] + Ordinal.from_int(i - self._limit_at[k])
 
 
-# The two outcomes of a step that moves on are plain slotted classes: a
-# frozen dataclass's __init__ costs about twice as much, once per letter.
+# The outcomes of a step are plain slotted classes: a frozen dataclass's
+# __init__ costs about twice as much, once per letter or divergence.
 
 class Advanced:
     __slots__ = ("pair",)
@@ -111,37 +131,40 @@ class Advanced:
 
 class LoopClosed:
     """A repeated pair (`entry`) closed a loop; the cascade of limit
-    transitions reached `pair` and collapsed the component states `lefts`
-    and `rights` (plain sets, shared with the trace)."""
-    __slots__ = ("pair", "entry", "lefts", "rights")
+    transitions reached `pair` and collapsed the states llo..lhi of the
+    left component and rlo..rhi of the right, span = [llo, lhi, rlo, rhi]."""
+    __slots__ = ("pair", "entry", "span")
 
-    def __init__(self, pair: tuple[int, int], entry: tuple[int, int],
-                 lefts: set[int], rights: set[int]):
+    def __init__(self, pair: tuple[int, int], entry: tuple[int, int], span: list[int]):
         self.pair = pair
         self.entry = entry
-        self.lefts = lefts
-        self.rights = rights
+        self.span = span
 
 
-@dataclass(frozen=True)
 class Diverged:
-    left_letter: str
-    right_letter: str
+    __slots__ = ("left_letter", "right_letter")
+
+    def __init__(self, left_letter: str, right_letter: str):
+        self.left_letter = left_letter
+        self.right_letter = right_letter
 
 
-@dataclass(frozen=True)
 class LeftEnded:
-    right_letter: str
+    __slots__ = ("right_letter",)
+
+    def __init__(self, right_letter: str):
+        self.right_letter = right_letter
 
 
-@dataclass(frozen=True)
 class RightEnded:
-    left_letter: str
+    __slots__ = ("left_letter",)
+
+    def __init__(self, left_letter: str):
+        self.left_letter = left_letter
 
 
-@dataclass(frozen=True)
 class BothEnded:
-    pass
+    __slots__ = ()
 
 
 def sync_step(left, right, trace: Trace):
@@ -167,18 +190,18 @@ def sync_step(left, right, trace: Trace):
         return Advanced(pair)
     # a repeated pair closes a loop; nested loops may cascade when the run
     # entered an outer loop mid-cycle.  Each closure's states include those
-    # of the closures before it.
+    # of the closures before it.  The repeated pair lies in the first
+    # window, so its states start the span.
     first_entry = pair
-    lefts: set[int] = set()
-    rights: set[int] = set()
+    span = [target_l, target_l, target_r, target_r]
     cascade: list[int] = []
     while pair in index:
         idx = index[pair]
         cascade.append(idx)
-        trace.collect_loop(idx, lefts, rights)
-        pair = (left.limit_target(lefts), right.limit_target(rights))
-    trace.append_limit(pair, tuple(cascade), lefts, rights)
-    return LoopClosed(pair, first_entry, lefts, rights)
+        trace.collect_loop(idx, span)
+        pair = (left.limit_target(span[0], span[1]), right.limit_target(span[2], span[3]))
+    trace.append_limit(pair, tuple(cascade), span)
+    return LoopClosed(pair, first_entry, span)
 
 
 def run_to_divergence(left, right):

@@ -90,6 +90,18 @@ def _looped(limits):
     return SingleWordAutomaton(succ, {(lo, hi): hi + 1 for lo, hi in limits}, ())
 
 
+@pytest.mark.parametrize("succ, limits, message", [
+    ([("a", 1), ("a", 3), ("a", 3)], {}, "successor 1->3 skips ahead"),
+    ([("a", 1), ("a", 1), ("b", 3)], {(1, 1): 3}, "limit {1..1}->3 does not leave to 2"),
+    ([("a", 1), ("a", 2), ("a", 1), ("b", 4)], {(1, 2): 2}, "limit {1..2}->2 does not leave to 3"),
+])
+def test_construction_refuses_transitions_that_skip_ahead(succ, limits, message):
+    """The product run carries a loop's states as an interval, which holds
+    only while no transition skips ahead; construction checks it."""
+    with pytest.raises(AutomatonError, match=re.escape(message)):
+        SingleWordAutomaton(succ, limits, ())
+
+
 @pytest.mark.parametrize("limits, crossing", [
     ([(1, 4), (3, 6)], "[1,4] and [3,6]"),
     ([(1, 8), (2, 3), (5, 9)], "[1,8] and [5,9]"),
@@ -124,14 +136,17 @@ def test_sharp_shape():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
     sharp = SharpAutomaton(auto, 0, 4)
     assert sharp.leaving(4) == ("a", 1)           # added back edge labeled like 0->1
-    assert sharp.limit_target({1, 2, 3, 4}) == 4  # added limit
-    assert sharp.limit_target({2}) == 3           # inherited limit
+    assert sharp.limit_target(1, 4) == 4          # added limit
+    assert sharp.limit_target(2, 2) == 3          # inherited limit
     with pytest.raises(MissingLimitError):
-        sharp.limit_target({6})                   # inherited, but leaves [0, 4]
+        sharp.limit_target(6, 6)                  # inherited, but leaves [0, 4]
+    for lo, hi in [(1, 3), (2, 4)]:
+        with pytest.raises(MissingLimitError):
+            sharp.limit_target(lo, hi)            # intervals that are no limit
     # degenerate j = i+1: one-letter loop
     one = SharpAutomaton(auto, 0, 1)
     assert one.leaving(1) == ("a", 1)
-    assert one.limit_target({1}) == 1
+    assert one.limit_target(1, 1) == 1
 
 
 def test_first_visit_prefix():

@@ -112,6 +112,18 @@ def test_separately_parsed_equal_nestings_compare_fast(text):
     assert out.rel is Rel.EQUAL
 
 
+def test_unequal_nestings_that_agree_on_their_first_w_letters_compare_fast():
+    """The product run closes 999 nested loops, each carrying its states as
+    an interval, before the words differ at w^999."""
+    text = nest(999, "b" * 999)
+    x, y = parse_expr(text), parse_expr(text[:-1] + "c")
+    start = time.perf_counter()
+    out = compare(x, y)
+    assert time.perf_counter() - start < 1
+    assert (out.rel, out.position, out.letters) == \
+        (Rel.LESS, Ordinal(((999, 1),)), ("b", "c"))
+
+
 @pytest.mark.parametrize("text", [tower(30), nest(800)], ids=["tower30", "nest800"])
 def test_factorize_refuses_the_token_budget_fast(text):
     e = parse_expr(text)

@@ -2,11 +2,12 @@ import copy
 import pickle
 import random
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratword import order
+from ratword import factorizer, order, runner
 from ratword.automaton import compile_expr
 from ratword.duplication import tau
 from ratword.expr import (Alphabet, Letter, Omega, as_finite_word, concat, first_letters,
@@ -257,9 +258,9 @@ class CountingLimits:
     def __getattr__(self, name):
         return getattr(self.auto, name)
 
-    def limit_target(self, states):
+    def limit_target(self, lo, hi):
         self.calls += 1
-        return self.auto.limit_target(states)
+        return self.auto.limit_target(lo, hi)
 
 
 def test_cascading_closure_positions():
@@ -281,6 +282,155 @@ def test_cascading_closure_positions():
     assert trace.position(-1) == parse_ordinal("w^2+1")
     out = compare(x, y)
     assert out.rel is Rel.RIGHT_PREFIX and out.position == parse_ordinal("w^2+1")
+
+
+class SetTrace:
+    """The trace of a product run as kept with sets: a limit entry carries
+    the component states its closures collapsed as two sets, and a closure
+    unions its window's states and the sets carried after it."""
+
+    def __init__(self, first):
+        self.pairs = [first]
+        self.index = {first: 0}
+        self.limit_at = [0]
+        self.carried = [(set(), set())]
+        self.cascades = 0        # steps that closed more than one loop
+        self.widened = 0         # closures whose carried sets added states
+
+    def add(self, pair):
+        self.index[pair] = len(self.pairs)
+        self.pairs.append(pair)
+
+
+def interval(states):
+    """(lo, hi) of states, which must be every state from lo to hi."""
+    lo, hi = min(states), max(states)
+    assert states == set(range(lo, hi + 1)), sorted(states)
+    return lo, hi
+
+
+def set_step(left, right, t):
+    """One step of the product run on a SetTrace, the reference for
+    runner.sync_step: None when the run stops, the pair reached by a letter,
+    or (pair, lefts, rights) for a loop closure."""
+    step_l, step_r = left.leaving(t.pairs[-1][0]), right.leaving(t.pairs[-1][1])
+    if step_l is None or step_r is None or step_l[0] != step_r[0]:
+        return None
+    pair = (step_l[1], step_r[1])
+    if pair not in t.index:
+        t.add(pair)
+        return pair
+    lefts, rights = set(), set()
+    closures = 0
+    while pair in t.index:
+        idx = t.index[pair]
+        closures += 1
+        lefts.update(l for l, _ in t.pairs[idx:])
+        rights.update(r for _, r in t.pairs[idx:])
+        window = len(lefts) + len(rights)
+        for carried_l, carried_r in t.carried[bisect_right(t.limit_at, idx):]:
+            lefts |= carried_l
+            rights |= carried_r
+        t.widened += len(lefts) + len(rights) > window
+        pair = (left.limit_target(*interval(lefts)), right.limit_target(*interval(rights)))
+    t.cascades += closures > 1
+    t.limit_at.append(len(t.pairs))
+    t.carried.append((lefts, rights))
+    t.add(pair)
+    return pair, lefts, rights
+
+
+class StepsAgainstSets:
+    """A stand-in for sync_step that runs the set-based reference on a
+    shadow of each trace and checks that the spans are its sets.  It sums
+    over finished runs the loop closures, the steps that closed more than
+    one loop, and the closures whose carried sets added states."""
+
+    def __init__(self):
+        self.shadows = {}
+        self.closures = self.cascades = self.widened = 0
+
+    def __call__(self, left, right, trace):
+        if trace not in self.shadows:
+            assert len(trace) == 1
+            self.shadows[trace] = SetTrace(trace.last_pair)
+        shadow = self.shadows[trace]
+        expected = set_step(left, right, shadow)
+        out = sync_step(left, right, trace)
+        if isinstance(out, LoopClosed):
+            pair, lefts, rights = expected
+            llo, lhi, rlo, rhi = out.span
+            assert out.pair == pair
+            assert (lefts, rights) == (set(range(llo, lhi + 1)), set(range(rlo, rhi + 1)))
+            self.closures += 1
+        elif isinstance(out, Advanced):
+            assert out.pair == expected
+        else:
+            assert expected is None
+        # one entry per step, so equal lengths and last pairs keep the traces equal
+        assert len(trace) == len(shadow.pairs) and trace.last_pair == shadow.pairs[-1]
+        return out
+
+    def finish(self):
+        for trace, shadow in self.shadows.items():
+            assert trace.pairs() == shadow.pairs
+            self.cascades += shadow.cascades
+            self.widened += shadow.widened
+        self.shadows.clear()
+
+    def run(self, pairs):
+        """Product runs of each pair, and of each with one side duplicated."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runner, "sync_step", self)
+            for x, y in pairs:
+                for left, right in [(x, y), (tau(x), y), (x, tau(y))]:
+                    runner.run_to_divergence(compile_expr(left), compile_expr(right))
+                    self.finish()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10**6), st.booleans())
+def test_closure_spans_are_the_sets_on_drawn_pairs(seed, shared):
+    """On drawn pairs of words, some sharing a drawn prefix, every loop
+    closure's spans are the sets that the set-based closure collapses, and
+    the traces are the same."""
+    rng = random.Random(seed)
+    if shared:
+        common = random_expr(rng, max_size=10, max_depth=3, letters="abc")
+        x = concat([common, random_expr(rng, max_size=6, max_depth=2, letters="abc")])
+        y = concat([common, random_expr(rng, max_size=6, max_depth=2, letters="abc")])
+    else:
+        x, y = (random_expr(rng, max_size=10, max_depth=3) for _ in range(2))
+    StepsAgainstSets().run([(x, y)])
+
+
+def test_closure_spans_are_the_sets_where_carried_states_count():
+    """The cascade pair, and three pairs (found among 20,000 draws) where a
+    limit entry after the loop's entry carries states its window lacks."""
+    check = StepsAgainstSets()
+    check.run([(parse_expr(x), parse_expr(y)) for x, y in [
+        ("b((bb)^w)^w(abbb)^w", "(b(bb)^w)^wa"),
+        ("((aaa)^wa)^w", "a(a^w)^wab^w"),
+        ("(b^wb(b^w)^wa)^w", "(((bbbb)^w)^w)^w"),
+        ("(b(bbb)^wb)^w", "bb(b^w)^w(abbb)^w"),
+    ]])
+    assert check.cascades >= 1 and check.widened >= 3
+    compile_expr.cache_clear()
+
+
+def test_closure_spans_are_the_sets_in_the_factorizer(monkeypatch):
+    """The same check on the marking runs of 400 random_expr draws and of
+    two towers."""
+    check = StepsAgainstSets()
+    monkeypatch.setattr(factorizer, "sync_step", check)
+    rng = random.Random(13)
+    inputs = [random_expr(rng, max_size=12, max_depth=3, letters="abc") for _ in range(400)]
+    inputs += [parse_expr("(((ac)^wb)^wc)^wa"), parse_expr("((((ac)^wb)^wc)^wa)^wb")]
+    for e in inputs:
+        factorizer.factorize(e)
+        check.finish()
+    assert check.closures > 600
+    compile_expr.cache_clear()
 
 
 @settings(deadline=None, max_examples=150)
