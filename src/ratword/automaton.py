@@ -38,17 +38,22 @@ class SingleWordAutomaton:
     No transition skips ahead: the successor of s goes to at most s + 1 and
     the limit on (lo, hi) goes to hi + 1.  The product run relies on this to
     carry the states a loop collapses as an interval (see `runner.Trace`),
-    so construction checks it and raises AutomatonError otherwise."""
+    so construction checks it and raises AutomatonError otherwise.
+
+    The product run reads transitions from `table`, succ with None for the
+    final state, a tuple that every `SharpAutomaton` on this automaton
+    shares.  A sharp redirects its state `jump` to the edge `back`; here no
+    state is redirected."""
     initial = 0
+    jump = -1
+    back = None
 
     def __init__(self, succ, limits, nodes):
         self.succ = tuple(succ)          # succ[s] = (letter, target), s in 0..n-1
         self.n = len(self.succ)
         self.limits = dict(limits)       # (lo, hi) -> target
         self.nodes = tuple(nodes)
-        # (letter, target) of the transition leaving s, or None at the final
-        # state: a bound tuple lookup, so a step runs no Python frame
-        self.leaving = (self.succ + (None,)).__getitem__
+        self.table = self.succ + (None,)
         for s, (_, target) in enumerate(self.succ):
             if target > s + 1:
                 raise AutomatonError(f"successor {s}->{target} skips ahead")
@@ -160,7 +165,8 @@ class SharpAutomaton:
     """Closure of a sub-automaton under ordinal powers: to states [i, j] add
     the successor j -a-> i+1 (a the label leaving i) and the limit transition
     {i+1,...,j} -> j.  With j = i+1 this degenerates to the one-letter loop.
-    Requires i outside every loop."""
+    Requires i outside every loop.  The transitions are the base's `table`,
+    shared, with state j redirected (`jump`) to the added edge (`back`)."""
 
     def __init__(self, base: SingleWordAutomaton, i: int, j: int):
         if not 0 <= i < j <= base.n:
@@ -169,25 +175,21 @@ class SharpAutomaton:
             raise AutomatonError(f"state {i} lies inside a loop")
         self.base = base
         self.i = i
-        self.j = j
         self.initial = i
         self.n = base.n
-        self._succ = base.succ
-        self._back = (base.succ[i][0], i + 1)    # the added j -a-> i+1
-
-    def leaving(self, s: int):
-        if s == self.j:
-            return self._back
-        return self._succ[s]
+        self.table = base.table
+        self.jump = j
+        self.back = (base.succ[i][0], i + 1)     # the added j -a-> i+1
 
     def limit_target(self, lo: int, hi: int) -> int:
         """The added limit on the interval i+1..j, or the base automaton's
         limit on lo..hi if it stays within [i, j]."""
-        if lo == self.i + 1 and hi == self.j:
-            return self.j
+        j = self.jump
+        if lo == self.i + 1 and hi == j:
+            return j
         target = self.base.limit_target(lo, hi)
-        if target > self.j:
-            raise MissingLimitError(f"limit target {target} escapes sharp [{self.i},{self.j}]")
+        if target > j:
+            raise MissingLimitError(f"limit target {target} escapes sharp [{self.i},{j}]")
         return target
 
 

@@ -6,7 +6,12 @@ letter leaving the main state k with the letter leaving the candidate state
 k' and either extends the history of pairs (equal letters), restarts with a
 longer candidate prefix (k reads the larger letter), or closes a block of
 prime copies (k reads the smaller letter, or the word ends).  Main cuts end
-up in q_main, boundaries between copies of one prime in q_secondary."""
+up in q_main, boundaries between copies of one prime in q_secondary.
+
+The equal-letter steps (1a, and the loop closures 1b/1c) of one candidate
+are one product run: a single `sync_step` call per candidate, the start
+and each 2a/2b/3 restart, runs them to the step that decides.  With
+keep_log the records of those steps are rebuilt from the finished trace."""
 
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, RatExpr, concat,
                    expr_length, format_expr, power)
 from .order import word_equal
 from .ordinal import ONE, Ordinal, div_left, format_ordinal
-from .runner import Advanced, Diverged, LoopClosed, RightEnded, Trace, sync_step
+from .runner import Diverged, RightEnded, Trace, sync_step
 
 
 class FactorizeError(RuntimeError):
@@ -81,72 +86,72 @@ def factorize_states(auto: SingleWordAutomaton, alphabet: Alphabet = DEFAULT_ALP
     budget = n * n * n
 
     i = 0
-    _, start = auto.succ[0]
-    j = start
-    history = Trace((start, 0))
-    sharp = SharpAutomaton(auto, 0, start)
-    seen_left = {0, start}  # states visited by the main run since i
-    if keep_log:
-        log.append(StepRecord("init", tuple(history.pairs())))
-
+    _, j = auto.succ[0]
+    seen_left = {0, j}  # states visited by the main run since i
+    case = "init"
     while True:
-        steps += 1
-        if steps > budget:
-            raise FactorizeError(f"exceeded step budget n^3 = {budget}")
-        outcome = sync_step(auto, sharp, history)
-        if isinstance(outcome, Advanced):
-            case = "1a"
-            seen_left.add(outcome.pair[0])
-        elif isinstance(outcome, LoopClosed):
-            span = outcome.span
-            case = "1c" if span[2] <= j <= span[3] else "1b"
-            seen_left.add(outcome.pair[0])
-        elif isinstance(outcome, RightEnded):
-            raise FactorizeError("sharp automaton has no final state; cannot end")
-        else:
-            k = history.last_pair[0]
-            if isinstance(outcome, Diverged) and \
-                    alphabet.rank(outcome.left_letter) > alphabet.rank(outcome.right_letter):
-                # the suffix at j is larger: extend the candidate prefix past k.
-                # The check is against the whole main run since i: a revisited
-                # target means the main run is inside a loop, and the cut moves
-                # beyond the loop's largest state via its limit transition.
-                _, target = auto.succ[k]
-                if target not in seen_left:
-                    case = "2a"
-                    j = target
-                else:
-                    case = "2b"
-                    j = max(seen_left) + 1
-                seen_left.add(j)
-                history = Trace((j, i))
-                sharp = SharpAutomaton(auto, i, j)
-            else:
-                # smaller letter (or end of word): close the block of copies of
-                # the prime cut at j
-                case = "3"
-                added = history.lefts_paired_with(j)
-                added.add(j)
-                top = max(added)
-                q_secondary |= added - {top}
-                q_main.add(top)
-                i = top
-                if keep_log:
-                    log.append(StepRecord(case, tuple(history.pairs())))
-                if i == n:
-                    break
-                _, target = auto.succ[i]
-                j = target
-                seen_left = {i, j}
-                history = Trace((j, i))
-                sharp = SharpAutomaton(auto, i, j)
-                if keep_log:
-                    log.append(StepRecord("init", tuple(history.pairs())))
-                continue
+        history = Trace((j, i))
+        sharp = SharpAutomaton(auto, i, j)
         if keep_log:
             log.append(StepRecord(case, tuple(history.pairs())))
+        outcome = sync_step(auto, sharp, history)
+        # every entry after the first is one 1a/1b/1c step, and one more
+        # step read the stop.  Every letter adds a new pair, so every run
+        # ends, and a budget checked after each run refuses the same inputs
+        # as one checked before each step.
+        steps += len(history)
+        if steps > budget:
+            raise FactorizeError(f"exceeded step budget n^3 = {budget}")
+        seen_left.update(history._lefts)
+        if keep_log:
+            log += _run_records(history, j)
+        if isinstance(outcome, RightEnded):
+            raise FactorizeError("sharp automaton has no final state; cannot end")
+        k = history.last_pair[0]
+        if isinstance(outcome, Diverged) and \
+                alphabet.rank(outcome.left_letter) > alphabet.rank(outcome.right_letter):
+            # the suffix at j is larger: extend the candidate prefix past k.
+            # The check is against the whole main run since i: a revisited
+            # target means the main run is inside a loop, and the cut moves
+            # beyond the loop's largest state via its limit transition.
+            _, target = auto.succ[k]
+            if target not in seen_left:
+                case = "2a"
+                j = target
+            else:
+                case = "2b"
+                j = max(seen_left) + 1
+            seen_left.add(j)
+            continue
+        # smaller letter (or end of word): close the block of copies of the
+        # prime cut at j
+        added = history.lefts_paired_with(j)
+        added.add(j)
+        top = max(added)
+        q_secondary |= added - {top}
+        q_main.add(top)
+        i = top
+        if keep_log:
+            log.append(StepRecord("3", tuple(history.pairs())))
+        if i == n:
+            break
+        _, j = auto.succ[i]
+        seen_left = {i, j}
+        case = "init"
 
     return FactorizerState(auto, q_main, q_secondary, steps, log)
+
+
+def _run_records(history: Trace, j: int) -> list[StepRecord]:
+    """The records of the 1a/1b/1c steps that built a finished run's trace:
+    entry m was reached by a letter (1a) or by a loop closure, 1c when the
+    closure collapsed j in the candidate and 1b otherwise.  Its history is
+    the first m + 1 pairs."""
+    pairs = history.pairs()
+    cases = ["1a"] * len(pairs)
+    for m, rlo, rhi in history.closures():
+        cases[m] = "1c" if rlo <= j <= rhi else "1b"
+    return [StepRecord(cases[m], tuple(pairs[:m + 1])) for m in range(1, len(pairs))]
 
 
 def extract_factorization(auto: SingleWordAutomaton, q_main: set[int],

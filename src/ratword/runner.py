@@ -3,12 +3,18 @@
 The product run reads one letter at a time while both components agree.  Its
 trace is the repetition-free list of state pairs in first-visit order; when a
 pair repeats, the loop just closed is resolved component-wise through limit
-transitions.  The trace does not store the ordinal position at which each
-pair was first reached: a pair reached by a letter sits one past the pair
-before it, and a pair reached by limit transitions keeps the loop entries of
-the cascade that reached it, so `Trace.position` derives a position only
-when asked.  The component states that a closure collapses are carried as
-intervals `(lo, hi)`: see `Trace`."""
+transitions.  `sync_step` runs the product from the trace's last pair to its
+next stop, where the components read different letters or one or both end,
+in one loop that resolves every loop closure on the way.  Its name is kept
+because the benchmark's layer trace (`perfbench/layertrace.py`) wraps
+`runner.sync_step` by name.
+
+The trace does not store the ordinal position at which each pair was first
+reached: a pair reached by a letter sits one past the pair before it, and a
+pair reached by limit transitions keeps the loop entries of the cascade that
+reached it, so `Trace.position` derives a position only when asked.  The
+component states that a closure collapses are carried as intervals
+`(lo, hi)`: see `Trace`."""
 
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ class Trace:
     it.  A limit entry records the indices of the loop entries its cascade
     closed on, and the component states those closures collapsed; the
     states recur in any later loop whose window contains the entry.
+    Each letter and each loop closure of the run adds one entry.
 
     The collapsed states of each component are kept as their interval: a
     closure widens one span [llo, lhi, rlo, rhi] from the minimum and
@@ -73,29 +80,11 @@ class Trace:
         """The left states of the pairs whose right state is `right`."""
         return set(compress(self._lefts, map(right.__eq__, self._rights)))
 
-    def collect_loop(self, idx: int, span: list[int]) -> None:
-        """Widen span, [llo, lhi, rlo, rhi], to the component states of the
-        loop that entry idx opens: the pairs from idx on, and the spans
-        carried by the limit entries after idx."""
-        k = 2 * (bisect_right(self._limit_at, idx) - 1)
-        lefts = self._lefts[idx:]
-        lefts += self._carried_l[k:]
-        lefts += span[:2]
-        rights = self._rights[idx:]
-        rights += self._carried_r[k:]
-        rights += span[2:]
-        span[:] = min(lefts), max(lefts), min(rights), max(rights)
-
-    def append_limit(self, pair, cascade: tuple[int, ...], span: list[int]) -> None:
-        if pair in self._index:
-            raise TraceError(f"pair {pair} repeated in trace")
-        self._index[pair] = len(self._lefts)
-        self._limit_at.append(len(self._lefts))
-        self._lefts.append(pair[0])
-        self._rights.append(pair[1])
-        self._cascades.append(cascade)
-        self._carried_l += span[:2]
-        self._carried_r += span[2:]
+    def closures(self):
+        """(entry, rlo, rhi) for each limit entry after the first: its index
+        and the interval of right states its cascade collapsed."""
+        carried = self._carried_r
+        return zip(self._limit_at[1:], carried[::2], carried[1::2])
 
     def position(self, i: int) -> Ordinal:
         """Ordinal position at which the run first reached entry i (negative
@@ -119,27 +108,8 @@ class Trace:
         return self._limit_pos[k] + Ordinal.from_int(i - self._limit_at[k])
 
 
-# The outcomes of a step are plain slotted classes: a frozen dataclass's
-# __init__ costs about twice as much, once per letter or divergence.
-
-class Advanced:
-    __slots__ = ("pair",)
-
-    def __init__(self, pair: tuple[int, int]):
-        self.pair = pair
-
-
-class LoopClosed:
-    """A repeated pair (`entry`) closed a loop; the cascade of limit
-    transitions reached `pair` and collapsed the states llo..lhi of the
-    left component and rlo..rhi of the right, span = [llo, lhi, rlo, rhi]."""
-    __slots__ = ("pair", "entry", "span")
-
-    def __init__(self, pair: tuple[int, int], entry: tuple[int, int], span: list[int]):
-        self.pair = pair
-        self.entry = entry
-        self.span = span
-
+# The stops of a run are plain slotted classes: a frozen dataclass's
+# __init__ costs about twice as much.
 
 class Diverged:
     __slots__ = ("left_letter", "right_letter")
@@ -168,52 +138,77 @@ class BothEnded:
 
 
 def sync_step(left, right, trace: Trace):
-    """Advance the product run by one letter (or one limit resolution)."""
-    trace_lefts = trace._lefts
-    step_l = left.leaving(trace_lefts[-1])
-    step_r = right.leaving(trace._rights[-1])
-    if step_l is None and step_r is None:
-        return BothEnded()
-    if step_l is None:
-        return LeftEnded(step_r[0])
-    if step_r is None:
-        return RightEnded(step_l[0])
-    (a, target_l), (b, target_r) = step_l, step_r
-    if a != b:
-        return Diverged(a, b)
-    pair = (target_l, target_r)
-    index = trace._index
-    if pair not in index:
-        index[pair] = len(trace_lefts)
-        trace_lefts.append(target_l)
-        trace._rights.append(target_r)
-        return Advanced(pair)
-    # a repeated pair closes a loop; nested loops may cascade when the run
-    # entered an outer loop mid-cycle.  Each closure's states include those
-    # of the closures before it.  The repeated pair lies in the first
-    # window, so its states start the span.
-    first_entry = pair
-    span = [target_l, target_l, target_r, target_r]
-    cascade: list[int] = []
-    while pair in index:
-        idx = index[pair]
-        cascade.append(idx)
-        trace.collect_loop(idx, span)
-        pair = (left.limit_target(span[0], span[1]), right.limit_target(span[2], span[3]))
-    trace.append_limit(pair, tuple(cascade), span)
-    return LoopClosed(pair, first_entry, span)
+    """Run the product from the trace's last pair to its next stop and
+    return it: Diverged, LeftEnded, RightEnded or BothEnded, read from the
+    trace's new last pair.  A transition leaving s is the automaton's
+    `back` when s is its `jump` state and `table[s]` otherwise (None at the
+    final state), so a letter costs no Python call."""
+    lefts, rights, index = trace._lefts, trace._rights, trace._index
+    ltable, ljump, lback = left.table, left.jump, left.back
+    rtable, rjump, rback = right.table, right.jump, right.back
+    s, t = lefts[-1], rights[-1]
+    while True:
+        step_l = lback if s == ljump else ltable[s]
+        step_r = rback if t == rjump else rtable[t]
+        if step_l is None:
+            return BothEnded() if step_r is None else LeftEnded(step_r[0])
+        if step_r is None:
+            return RightEnded(step_l[0])
+        a, s = step_l
+        b, t = step_r
+        if a != b:
+            return Diverged(a, b)
+        pair = (s, t)
+        if pair not in index:
+            index[pair] = len(lefts)
+            lefts.append(s)
+            rights.append(t)
+            continue
+        # a repeated pair closes a loop; nested loops may cascade when the
+        # run entered an outer loop mid-cycle.  Each closure widens the span
+        # of collapsed states with its window (the pairs from its entry on)
+        # and the spans carried by the limit entries after the entry, so it
+        # includes the states of the closures before it.  The repeated pair
+        # lies in the first window, so its states start the span.
+        limit_at, carried_l, carried_r = trace._limit_at, trace._carried_l, trace._carried_r
+        llo = lhi = s
+        rlo = rhi = t
+        cascade = []
+        while pair in index:
+            idx = index[pair]
+            cascade.append(idx)
+            k = 2 * (bisect_right(limit_at, idx) - 1)
+            states = lefts[idx:]
+            states += carried_l[k:]
+            states += (llo, lhi)
+            llo, lhi = min(states), max(states)
+            states = rights[idx:]
+            states += carried_r[k:]
+            states += (rlo, rhi)
+            rlo, rhi = min(states), max(states)
+            pair = (left.limit_target(llo, lhi), right.limit_target(rlo, rhi))
+        s, t = pair
+        index[pair] = len(lefts)
+        limit_at.append(len(lefts))
+        lefts.append(s)
+        rights.append(t)
+        trace._cascades.append(tuple(cascade))
+        carried_l += (llo, lhi)
+        carried_r += (rlo, rhi)
 
 
 def run_to_divergence(left, right):
     """Run the product from the two initial states until the components read
-    different letters or at least one ends.  Returns (trace, outcome)."""
+    different letters or at least one ends.  Returns (trace, outcome).
+
+    The run cannot go on for ever: each letter adds a pair the trace has
+    not seen, and a cascade of closures ends, because on a
+    `SingleWordAutomaton` a closure's limit target hi + 1 lies past every
+    state of its window, so each closure of a cascade opens an earlier
+    loop.  So the trace never holds more than the (left.n + 1) *
+    (right.n + 1) pairs of the product, the bound checked below."""
     trace = Trace((left.initial, right.initial))
-    budget = (left.n + 1) * (right.n + 1) + 1
-    while True:
-        if budget < 0:
-            raise TraceError("product run exceeded its step budget")
-        budget -= 1
-        outcome = sync_step(left, right, trace)
-        if isinstance(outcome, (Advanced, LoopClosed)):
-            continue
-        return trace, outcome
+    outcome = sync_step(left, right, trace)
+    if len(trace) > (left.n + 1) * (right.n + 1):
+        raise TraceError("product run outgrew the pairs of the product")
+    return trace, outcome

@@ -135,7 +135,8 @@ def test_sharp_range_checks():
 def test_sharp_shape():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
     sharp = SharpAutomaton(auto, 0, 4)
-    assert sharp.leaving(4) == ("a", 1)           # added back edge labeled like 0->1
+    assert sharp.table is auto.table              # the base's transitions, shared
+    assert (sharp.jump, sharp.back) == (4, ("a", 1))  # added back edge labeled like 0->1
     assert sharp.limit_target(1, 4) == 4          # added limit
     assert sharp.limit_target(2, 2) == 3          # inherited limit
     with pytest.raises(MissingLimitError):
@@ -145,7 +146,7 @@ def test_sharp_shape():
             sharp.limit_target(lo, hi)            # intervals that are no limit
     # degenerate j = i+1: one-letter loop
     one = SharpAutomaton(auto, 0, 1)
-    assert one.leaving(1) == ("a", 1)
+    assert (one.jump, one.back) == (1, ("a", 1))
     assert one.limit_target(1, 1) == 1
 
 

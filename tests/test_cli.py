@@ -66,6 +66,77 @@ def test_factorize_trace(capsys):
     assert all(line.startswith("<") for line in lines[1:])
 
 
+# `factorize --json --marked --trace` byte for byte: the JSON line, the marked
+# duplicated expression and one log line per record.  The second input's log
+# has 1a, 1b, 1c, 2a and 3 steps.
+TRACE_GOLDENS = {
+    "(a^wb)^wa^w": [
+        '{"input": "(a^wb)^wa^w", "tau": "aa^wb(aa^wb)^waa^w", "states": 13, "q_main": [0, 9, 12], "q_secondary": [4, 8, 10, 11], "factors": [{"prime": "aa^wb", "exponent": "w"}, {"prime": "a", "exponent": "w"}], "steps": 15}',
+        '||aa^wb(|aa^wb)|^w||a|a|^w||',
+        '<(1,0)> case=init',
+        '<(1,0),(2,1)> case=1a',
+        '<(1,0),(2,1),(3,1)> case=1c',
+        '<(4,0)> case=2a',
+        '<(4,0),(5,1)> case=1a',
+        '<(4,0),(5,1),(6,2)> case=1a',
+        '<(4,0),(5,1),(6,2),(7,3)> case=1b',
+        '<(4,0),(5,1),(6,2),(7,3),(8,4)> case=1a',
+        '<(4,0),(5,1),(6,2),(7,3),(8,4),(9,4)> case=1c',
+        '<(4,0),(5,1),(6,2),(7,3),(8,4),(9,4),(10,1)> case=1a',
+        '<(4,0),(5,1),(6,2),(7,3),(8,4),(9,4),(10,1),(11,2)> case=1a',
+        '<(4,0),(5,1),(6,2),(7,3),(8,4),(9,4),(10,1),(11,2),(12,3)> case=1b',
+        '<(4,0),(5,1),(6,2),(7,3),(8,4),(9,4),(10,1),(11,2),(12,3)> case=3',
+        '<(10,9)> case=init',
+        '<(10,9),(11,10)> case=1a',
+        '<(10,9),(11,10),(12,10)> case=1c',
+        '<(10,9),(11,10),(12,10)> case=3',
+    ],
+    "(((ac)^wb)^wc)^wa": [
+        '{"input": "(((ac)^wb)^wc)^wa", "tau": "ac(ac)^wb(ac(ac)^wb)^wc(ac(ac)^wb(ac(ac)^wb)^wc)^wa", "states": 31, "q_main": [0, 29, 30], "q_secondary": [14, 28], "factors": [{"prime": "ac(ac)^wb(ac(ac)^wb)^wc", "exponent": "w"}, {"prime": "a", "exponent": "1"}], "steps": 31}',
+        '||ac(ac)^wb(ac(ac)^wb)^wc(|ac(ac)^wb(ac(ac)^wb)^wc)|^w||a||',
+        '<(1,0)> case=init',
+        '<(2,0)> case=2a',
+        '<(2,0),(3,1)> case=1a',
+        '<(2,0),(3,1),(4,2)> case=1a',
+        '<(2,0),(3,1),(4,2),(5,2)> case=1c',
+        '<(6,0)> case=2a',
+        '<(6,0),(7,1)> case=1a',
+        '<(6,0),(7,1),(8,2)> case=1a',
+        '<(6,0),(7,1),(8,2),(9,3)> case=1a',
+        '<(6,0),(7,1),(8,2),(9,3),(10,4)> case=1a',
+        '<(6,0),(7,1),(8,2),(9,3),(10,4),(11,5)> case=1b',
+        '<(6,0),(7,1),(8,2),(9,3),(10,4),(11,5),(12,6)> case=1a',
+        '<(6,0),(7,1),(8,2),(9,3),(10,4),(11,5),(12,6),(13,6)> case=1c',
+        '<(14,0)> case=2a',
+        '<(14,0),(15,1)> case=1a',
+        '<(14,0),(15,1),(16,2)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5)> case=1b',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10),(25,11)> case=1b',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10),(25,11),(26,12)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10),(25,11),(26,12),(27,13)> case=1b',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10),(25,11),(26,12),(27,13),(28,14)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10),(25,11),(26,12),(27,13),(28,14),(29,14)> case=1c',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10),(25,11),(26,12),(27,13),(28,14),(29,14),(30,1)> case=1a',
+        '<(14,0),(15,1),(16,2),(17,3),(18,4),(19,5),(20,6),(21,7),(22,8),(23,9),(24,10),(25,11),(26,12),(27,13),(28,14),(29,14),(30,1)> case=3',
+        '<(30,29)> case=init',
+        '<(30,29)> case=3',
+    ],
+}
+
+
+@pytest.mark.parametrize("text", list(TRACE_GOLDENS))
+def test_factorize_json_marked_trace_golden(capsys, text):
+    code, out, err = run(capsys, "factorize", "--json", "--marked", "--trace", text)
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in TRACE_GOLDENS[text])
+
 def test_factorize_both_engines(capsys):
     code, out, _ = run(capsys, "factorize", "(a^wb)^wa^w", "--engine", "both")
     assert code == 0

@@ -3,21 +3,22 @@ import pickle
 import random
 import sys
 from bisect import bisect_right
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword import factorizer, order, runner
-from ratword.automaton import compile_expr
+from ratword.automaton import SharpAutomaton, compile_expr
 from ratword.duplication import tau
-from ratword.expr import (Alphabet, Letter, Omega, as_finite_word, concat, first_letters,
-                          format_expr, letter_at, parse_expr, prefix_to)
+from ratword.expr import (DEFAULT_ALPHABET, Alphabet, Letter, Omega, as_finite_word, concat,
+                          first_letters, format_expr, letter_at, parse_expr, prefix_to)
+from ratword.factorizer import FactorizeError, FactorizerState, StepRecord
 from ratword.gen import random_expr, random_finite_word
 from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compare_via_automata,
                            word_equal)
 from ratword.ordinal import Ordinal, parse_ordinal
-from ratword.runner import (Advanced, LoopClosed, RightEnded, Trace, run_to_divergence,
-                            sync_step)
+from ratword.runner import RightEnded, Trace, run_to_divergence, sync_step
 
 W = Ordinal.omega
 fin = Ordinal.from_int
@@ -263,16 +264,109 @@ class CountingLimits:
         return self.auto.limit_target(lo, hi)
 
 
+# -- the step-by-step reference ----------------------------------------------
+#
+# runner.sync_step runs the product to its next stop in one loop.  The
+# reference below is the run as first written, one step per call: it
+# returns the pair that a letter reached (Advanced) or that a cascade of
+# loop closures reached (LoopClosed), and stores the same entries, limit
+# entries, cascades and carried spans in a runner.Trace.
+
+class Advanced:
+    def __init__(self, pair):
+        self.pair = pair
+
+
+class LoopClosed:
+    """A repeated pair (`entry`) closed a loop; the cascade of limit
+    transitions reached `pair` and collapsed the states llo..lhi of the
+    left component and rlo..rhi of the right, span = [llo, lhi, rlo, rhi]."""
+
+    def __init__(self, pair, entry, span):
+        self.pair, self.entry, self.span = pair, entry, span
+
+
+def leaving(auto, s):
+    """(letter, target) of the transition leaving s, None at the final state."""
+    return auto.back if s == auto.jump else auto.table[s]
+
+
+def collect_loop(trace, idx, span):
+    """Widen span to the component states of the loop that entry idx opens:
+    the pairs from idx on, and the spans carried by the limit entries after
+    idx."""
+    k = 2 * (bisect_right(trace._limit_at, idx) - 1)
+    lefts = trace._lefts[idx:] + trace._carried_l[k:] + span[:2]
+    rights = trace._rights[idx:] + trace._carried_r[k:] + span[2:]
+    span[:] = min(lefts), max(lefts), min(rights), max(rights)
+
+
+def append_limit(trace, pair, cascade, span):
+    assert pair not in trace._index
+    trace._index[pair] = len(trace._lefts)
+    trace._limit_at.append(len(trace._lefts))
+    trace._lefts.append(pair[0])
+    trace._rights.append(pair[1])
+    trace._cascades.append(cascade)
+    trace._carried_l += span[:2]
+    trace._carried_r += span[2:]
+
+
+def reference_step(left, right, trace):
+    """Advance the product run by one letter (or one limit resolution)."""
+    step_l = leaving(left, trace._lefts[-1])
+    step_r = leaving(right, trace._rights[-1])
+    if step_l is None and step_r is None:
+        return runner.BothEnded()
+    if step_l is None:
+        return runner.LeftEnded(step_r[0])
+    if step_r is None:
+        return runner.RightEnded(step_l[0])
+    (a, target_l), (b, target_r) = step_l, step_r
+    if a != b:
+        return runner.Diverged(a, b)
+    pair = (target_l, target_r)
+    if pair not in trace._index:
+        trace._index[pair] = len(trace._lefts)
+        trace._lefts.append(target_l)
+        trace._rights.append(target_r)
+        return Advanced(pair)
+    first_entry = pair
+    span = [target_l, target_l, target_r, target_r]
+    cascade = []
+    while pair in trace._index:
+        idx = trace._index[pair]
+        cascade.append(idx)
+        collect_loop(trace, idx, span)
+        pair = (left.limit_target(span[0], span[1]), right.limit_target(span[2], span[3]))
+    append_limit(trace, pair, tuple(cascade), span)
+    return LoopClosed(pair, first_entry, span)
+
+
+def reference_run(left, right, trace):
+    """reference_step until the run stops; returns the stop."""
+    while isinstance(out := reference_step(left, right, trace), (Advanced, LoopClosed)):
+        pass
+    return out
+
+
+def stop_fields(out):
+    return type(out), [getattr(out, name) for name in type(out).__slots__]
+
+
+TRACE_FIELDS = ("_lefts", "_rights", "_index", "_limit_at", "_cascades", "_carried_l",
+                "_carried_r")
+
+
 def test_cascading_closure_positions():
     """One step closes a loop whose limit target is already in the trace, so
     a second loop closes in the same step.  Positions pinned entry by entry."""
     x, y = parse_expr("b((bb)^w)^w(abbb)^w"), parse_expr("(b(bb)^w)^wa")
     left, right = CountingLimits(compile_expr(x)), compile_expr(y)
     trace = Trace((left.initial, right.initial))
-    closures = 0
-    while isinstance(out := sync_step(left, right, trace), (Advanced, LoopClosed)):
-        closures += isinstance(out, LoopClosed)
+    out = sync_step(left, right, trace)
     assert isinstance(out, RightEnded)
+    closures = len(trace._limit_at) - 1      # the limit entries after the first
     assert left.calls > closures
     assert trace.pairs() == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (3, 2),
                              (2, 3), (5, 5), (6, 6)]
@@ -310,10 +404,10 @@ def interval(states):
 
 
 def set_step(left, right, t):
-    """One step of the product run on a SetTrace, the reference for
-    runner.sync_step: None when the run stops, the pair reached by a letter,
-    or (pair, lefts, rights) for a loop closure."""
-    step_l, step_r = left.leaving(t.pairs[-1][0]), right.leaving(t.pairs[-1][1])
+    """One step of the product run on a SetTrace: None when the run stops,
+    the pair reached by a letter, or (pair, lefts, rights) for a loop
+    closure."""
+    step_l, step_r = leaving(left, t.pairs[-1][0]), leaving(right, t.pairs[-1][1])
     if step_l is None or step_r is None or step_l[0] != step_r[0]:
         return None
     pair = (step_l[1], step_r[1])
@@ -340,43 +434,38 @@ def set_step(left, right, t):
     return pair, lefts, rights
 
 
-class StepsAgainstSets:
-    """A stand-in for sync_step that runs the set-based reference on a
-    shadow of each trace and checks that the spans are its sets.  It sums
-    over finished runs the loop closures, the steps that closed more than
-    one loop, and the closures whose carried sets added states."""
+class RunsAgainstReference:
+    """A stand-in for sync_step.  It runs runner.sync_step, replays the same
+    run step by step with reference_step on a second Trace and with the
+    set-based closure on a SetTrace, and checks the finished traces: every
+    field equal to the reference's, the same stop, the SetTrace's pairs and
+    limit entries, and every carried span the sets that the set-based
+    closure collapsed.  It sums the loop closures, the steps that closed
+    more than one loop, and the closures whose carried sets added states."""
 
     def __init__(self):
-        self.shadows = {}
         self.closures = self.cascades = self.widened = 0
 
     def __call__(self, left, right, trace):
-        if trace not in self.shadows:
-            assert len(trace) == 1
-            self.shadows[trace] = SetTrace(trace.last_pair)
-        shadow = self.shadows[trace]
-        expected = set_step(left, right, shadow)
+        assert len(trace) == 1        # one call per run, on a fresh trace
+        first = trace.last_pair
         out = sync_step(left, right, trace)
-        if isinstance(out, LoopClosed):
-            pair, lefts, rights = expected
-            llo, lhi, rlo, rhi = out.span
-            assert out.pair == pair
-            assert (lefts, rights) == (set(range(llo, lhi + 1)), set(range(rlo, rhi + 1)))
-            self.closures += 1
-        elif isinstance(out, Advanced):
-            assert out.pair == expected
-        else:
-            assert expected is None
-        # one entry per step, so equal lengths and last pairs keep the traces equal
-        assert len(trace) == len(shadow.pairs) and trace.last_pair == shadow.pairs[-1]
+        reference, shadow = Trace(first), SetTrace(first)
+        assert stop_fields(out) == stop_fields(reference_run(left, right, reference))
+        for name in TRACE_FIELDS:
+            assert getattr(trace, name) == getattr(reference, name), name
+        while set_step(left, right, shadow) is not None:
+            pass
+        assert trace.pairs() == shadow.pairs and trace._limit_at == shadow.limit_at
+        lefts, rights = trace._carried_l, trace._carried_r
+        spans = list(zip(lefts[::2], lefts[1::2], rights[::2], rights[1::2]))
+        assert len(spans) == len(shadow.carried) - 1
+        for (llo, lhi, rlo, rhi), sets in zip(spans, shadow.carried[1:]):
+            assert sets == (set(range(llo, lhi + 1)), set(range(rlo, rhi + 1)))
+        self.closures += len(spans)
+        self.cascades += shadow.cascades
+        self.widened += shadow.widened
         return out
-
-    def finish(self):
-        for trace, shadow in self.shadows.items():
-            assert trace.pairs() == shadow.pairs
-            self.cascades += shadow.cascades
-            self.widened += shadow.widened
-        self.shadows.clear()
 
     def run(self, pairs):
         """Product runs of each pair, and of each with one side duplicated."""
@@ -385,15 +474,14 @@ class StepsAgainstSets:
             for x, y in pairs:
                 for left, right in [(x, y), (tau(x), y), (x, tau(y))]:
                     runner.run_to_divergence(compile_expr(left), compile_expr(right))
-                    self.finish()
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.integers(0, 10**6), st.booleans())
 def test_closure_spans_are_the_sets_on_drawn_pairs(seed, shared):
-    """On drawn pairs of words, some sharing a drawn prefix, every loop
-    closure's spans are the sets that the set-based closure collapses, and
-    the traces are the same."""
+    """On drawn pairs of words, some sharing a drawn prefix, each run's trace
+    is the step-by-step reference's, and every loop closure's spans are the
+    sets that the set-based closure collapses."""
     rng = random.Random(seed)
     if shared:
         common = random_expr(rng, max_size=10, max_depth=3, letters="abc")
@@ -401,13 +489,13 @@ def test_closure_spans_are_the_sets_on_drawn_pairs(seed, shared):
         y = concat([common, random_expr(rng, max_size=6, max_depth=2, letters="abc")])
     else:
         x, y = (random_expr(rng, max_size=10, max_depth=3) for _ in range(2))
-    StepsAgainstSets().run([(x, y)])
+    RunsAgainstReference().run([(x, y)])
 
 
 def test_closure_spans_are_the_sets_where_carried_states_count():
     """The cascade pair, and three pairs (found among 20,000 draws) where a
     limit entry after the loop's entry carries states its window lacks."""
-    check = StepsAgainstSets()
+    check = RunsAgainstReference()
     check.run([(parse_expr(x), parse_expr(y)) for x, y in [
         ("b((bb)^w)^w(abbb)^w", "(b(bb)^w)^wa"),
         ("((aaa)^wa)^w", "a(a^w)^wab^w"),
@@ -421,15 +509,128 @@ def test_closure_spans_are_the_sets_where_carried_states_count():
 def test_closure_spans_are_the_sets_in_the_factorizer(monkeypatch):
     """The same check on the marking runs of 400 random_expr draws and of
     two towers."""
-    check = StepsAgainstSets()
+    check = RunsAgainstReference()
     monkeypatch.setattr(factorizer, "sync_step", check)
     rng = random.Random(13)
     inputs = [random_expr(rng, max_size=12, max_depth=3, letters="abc") for _ in range(400)]
     inputs += [parse_expr("(((ac)^wb)^wc)^wa"), parse_expr("((((ac)^wb)^wc)^wa)^wb")]
     for e in inputs:
         factorizer.factorize(e)
-        check.finish()
     assert check.closures > 600
+    compile_expr.cache_clear()
+
+
+def reference_marking(auto, alphabet=DEFAULT_ALPHABET):
+    """The marking loop as written before a candidate's run took one
+    sync_step call: one reference_step per iteration, the n^3 budget checked
+    before each step, and the log kept step by step.  Returns the state and
+    the number of steps that closed more than one loop."""
+    n = auto.n
+    q_main, q_secondary = {0}, set()
+    log = []
+    steps, cascaded = 0, 0
+    budget = n * n * n
+    i = 0
+    _, start = auto.succ[0]
+    j = start
+    history = Trace((start, 0))
+    sharp = SharpAutomaton(auto, 0, start)
+    seen_left = {0, start}
+    log.append(StepRecord("init", tuple(history.pairs())))
+    while True:
+        steps += 1
+        if steps > budget:
+            raise FactorizeError(f"exceeded step budget n^3 = {budget}")
+        outcome = reference_step(auto, sharp, history)
+        if isinstance(outcome, Advanced):
+            case = "1a"
+            seen_left.add(outcome.pair[0])
+        elif isinstance(outcome, LoopClosed):
+            span = outcome.span
+            case = "1c" if span[2] <= j <= span[3] else "1b"
+            seen_left.add(outcome.pair[0])
+            cascaded += len(history._cascades[-1]) > 1
+        elif isinstance(outcome, RightEnded):
+            raise FactorizeError("sharp automaton has no final state; cannot end")
+        else:
+            k = history.last_pair[0]
+            if isinstance(outcome, runner.Diverged) and \
+                    alphabet.rank(outcome.left_letter) > alphabet.rank(outcome.right_letter):
+                _, target = auto.succ[k]
+                if target not in seen_left:
+                    case = "2a"
+                    j = target
+                else:
+                    case = "2b"
+                    j = max(seen_left) + 1
+                seen_left.add(j)
+                history = Trace((j, i))
+                sharp = SharpAutomaton(auto, i, j)
+            else:
+                case = "3"
+                added = history.lefts_paired_with(j)
+                added.add(j)
+                top = max(added)
+                q_secondary |= added - {top}
+                q_main.add(top)
+                i = top
+                log.append(StepRecord(case, tuple(history.pairs())))
+                if i == n:
+                    break
+                _, target = auto.succ[i]
+                j = target
+                seen_left = {i, j}
+                history = Trace((j, i))
+                sharp = SharpAutomaton(auto, i, j)
+                log.append(StepRecord("init", tuple(history.pairs())))
+                continue
+        log.append(StepRecord(case, tuple(history.pairs())))
+    return FactorizerState(auto, q_main, q_secondary, steps, log), cascaded
+
+
+def marking_automata():
+    """The automata of tau(e) for 1,200 random_expr draws, for towers of
+    depth 4-9 in three shapes and for the worked examples; then the
+    automata of two words as written, not duplicated, on which the
+    candidate run closes two loops in one step (found among 40,000 draws:
+    no marking run on a duplicated draw did)."""
+    rng = random.Random(31)
+    inputs = [random_expr(rng, max_size=12, max_depth=3, letters="abc") for _ in range(1200)]
+    for depth in range(4, 10):
+        for base in ("ac", "ab", "ba"):
+            text = base
+            for _ in range(depth):
+                text = f"({text})^w{rng.choice('abc')}"
+            inputs.append(parse_expr(text))
+    inputs += [parse_expr(text) for text in [
+        "(a^wb)^wa^w", "(bba)^w", "abaab", "(((ac)^wb)^wc)^wa", "(((ac)^wa)^wb)^wc",
+        "b((bb)^w)^w(abbb)^w", "(b(bb)^w)^wa", "((aaa)^wa)^w", "a(a^w)^wab^w",
+        "(b(bbb)^wb)^w", "bb(b^w)^w(abbb)^w"]]
+    autos = [compile_expr(tau(e)) for e in inputs]
+    return autos + [compile_expr(parse_expr(text)) for text in
+                    ["(((aa)^wbaaa)^w)^w", "((aa(aa)^w)^wabaaaaba)^w"]]
+
+
+def test_marking_matches_the_step_by_step_loop():
+    """factorize_states, one sync_step call per candidate with the log
+    rebuilt from each finished trace, gives the step-by-step loop's steps,
+    marked states and log records on every automaton, with and without the
+    log."""
+    cases = Counter()
+    cascaded = 0
+    for auto in marking_automata():
+        expected, cascades = reference_marking(auto)
+        marks = (expected.steps, expected.q_main, expected.q_secondary)
+        got = factorizer.factorize_states(auto)
+        assert (got.steps, got.q_main, got.q_secondary, got.log) == marks + ([],)
+        got = factorizer.factorize_states(auto, keep_log=True)
+        assert (got.steps, got.q_main, got.q_secondary) == marks
+        assert [(r.case, r.history) for r in got.log] == \
+            [(r.case, r.history) for r in expected.log]
+        cases.update(r.case for r in got.log)
+        cascaded += cascades
+    assert all(cases[case] for case in ("1a", "1b", "1c", "2a", "2b", "3"))
+    assert cascaded >= 2
     compile_expr.cache_clear()
 
 
