@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .expr import Concat, Letter, Omega, RatExpr, concat, split_at
-from .ordinal import ONE, OMEGA, ZERO, sub_left
+from .runner import Trace, sync_step
 
 
 class AutomatonError(RuntimeError):
@@ -37,8 +37,9 @@ class SingleWordAutomaton:
 
     No transition skips ahead: the successor of s goes to at most s + 1 and
     the limit on (lo, hi) goes to hi + 1.  The product run relies on this to
-    carry the states a loop collapses as an interval (see `runner.Trace`),
-    so construction checks it and raises AutomatonError otherwise.
+    read the states a loop collapses as the interval of the loop's window
+    (see `runner.Trace`), so construction checks it and raises
+    AutomatonError otherwise.
 
     The product run reads transitions from `table`, succ with None for the
     final state, a tuple that every `SharpAutomaton` on this automaton
@@ -222,45 +223,26 @@ def expr_of_range(auto: SingleWordAutomaton, lo: int, hi: int) -> RatExpr:
 def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:
     """The suffix of the accepted word read from state q; None for q = n.
 
-    A repeated state closes a loop: the continuation from its first visit
-    repeats forever, so the label read since then recurs w times and the
-    matching limit transition fires.  Closures can cascade, and a walk that
-    begins mid-loop may close a loop containing states first seen before the
-    entry, so the visit order (with returns) and ordinal read positions are
-    tracked explicitly."""
+    It is read off the trace of the automaton run against itself from
+    (q, q) by `runner.sync_step`: each entry adds the letter read into it,
+    and each loop closure of a cascade turns what was read since its loop
+    entry's position into an w-power.  A walk that begins mid-loop writes
+    that loop's body as read from q, not as the expression writes it."""
     if not 0 <= q <= auto.n:
         raise AutomatonError(f"state {q} out of range")
     if q == auto.n:
         return None
-    s = q
-    seq = [s]                    # visit order, entry states re-appended on closure
-    first = {s: 0}               # state -> first index in seq
-    first_pos = {s: ZERO}        # state -> ordinal position of first visit
+    trace = Trace((q, q))
+    sync_step(auto, auto, trace)
+    lefts, succ = trace._lefts, auto.succ
+    cascades = dict(zip(trace._limit_at, trace._cascades))
     parts: list[RatExpr] = []
-    pos = ZERO
-    budget = (auto.n + 2) * (auto.n + 2)
-    while s != auto.n:
-        if budget < 0:
-            raise AutomatonError("runaway walk; automaton is corrupt")
-        budget -= 1
-        letter, target = auto.succ[s]
-        piece: RatExpr = Letter(letter)
-        pos = pos + ONE
-        while target in first:
-            entry = target
-            cofinal = set(seq[first[entry]:]) | {entry}
-            seq.extend(sorted(cofinal))  # every loop state is visited again
-            # pos is the length of parts and piece: the word read so far
-            entry_pos = first_pos[entry]
-            parts, body = split_at(concat(parts + [piece]), entry_pos)
+    for m in range(1, len(lefts)):
+        piece = Letter(succ[lefts[m - 1]][0])
+        for idx in cascades.get(m, ()):
+            parts, body = split_at(concat(parts + [piece]), trace.position(idx))
             piece = Omega(concat(body))
-            pos = entry_pos + sub_left(entry_pos, pos) * OMEGA
-            target = auto.limit_target(min(cofinal), max(cofinal))
         parts.append(piece)
-        seq.append(target)
-        first[target] = len(seq) - 1
-        first_pos[target] = pos
-        s = target
     return concat(parts)
 
 

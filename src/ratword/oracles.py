@@ -3,11 +3,12 @@ primality checks used to cross-validate both factorization engines."""
 
 from __future__ import annotations
 
-from .automaton import compile_expr, expr_of_range, suffix_word
+from .automaton import compile_expr, suffix_word
 from .expr import (Alphabet, DEFAULT_ALPHABET, RatExpr, as_finite_word,
                    expr_length, power, prefix_to)
 from .order import Rel, compare, word_equal
 from .ordinal import ONE, Ordinal, div_left
+from .runner import Trace, sync_step
 
 
 def duval_factorize(word: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> list[str]:
@@ -76,7 +77,8 @@ def primitive_root(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET
 
     Candidate roots are prefixes whose length divides |e| on the left:
     finite divisors of the leading coefficient, plus the length of the
-    prefix read until the compiled automaton first reaches each state."""
+    prefix read until the compiled automaton first reaches each state: the
+    position of (s, s) in one run of the automaton against itself."""
     length = expr_length(e)
     candidates: list[Ordinal] = []
     lead_exp, lead_coeff = length.terms[0]
@@ -86,8 +88,9 @@ def primitive_root(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET
                 continue
             candidates.append(Ordinal(((lead_exp, lead_coeff // d),) + length.terms[1:]))
     auto = compile_expr(e)
-    for s in range(1, auto.n):
-        candidates.append(expr_length(expr_of_range(auto, 0, s)))
+    trace = Trace((0, 0))
+    sync_step(auto, auto, trace)
+    candidates += [trace.position(trace._index[(s, s)]) for s in range(1, auto.n)]
 
     best: tuple[Ordinal, RatExpr, Ordinal] | None = None
     for cand in candidates:

@@ -12,9 +12,13 @@ because the benchmark's layer trace (`perfbench/layertrace.py`) wraps
 The trace does not store the ordinal position at which each pair was first
 reached: a pair reached by a letter sits one past the pair before it, and a
 pair reached by limit transitions keeps the loop entries of the cascade that
-reached it, so `Trace.position` derives a position only when asked.  The
-component states that a closure collapses are carried as intervals
-`(lo, hi)`: see `Trace`."""
+reached it, so `Trace.position` derives a position only when asked.  Nor
+does it store the states that a closure collapses: in each component they
+are the interval spanned by the closure's own window (see `Trace`).
+
+`sync_step` is the package's one walk along transitions: `suffix_word` and
+`primitive_root` read a word's suffixes and prefix lengths off the trace of
+its automaton run against itself."""
 
 from __future__ import annotations
 
@@ -34,26 +38,43 @@ class Trace:
     The first entry and every entry reached by a loop closure are limit
     entries; every other entry was reached by a letter from the entry before
     it.  A limit entry records the indices of the loop entries its cascade
-    closed on, and the component states those closures collapsed; the
-    states recur in any later loop whose window contains the entry.
-    Each letter and each loop closure of the run adds one entry.
+    closed on.  Each letter and each loop closure of the run adds one entry.
 
-    The collapsed states of each component are kept as their interval: a
-    closure widens one span [llo, lhi, rlo, rhi] from the minimum and
-    maximum of its window and of the spans carried after it.  The interval
-    is exactly the set of collapsed states, because the states that a
-    component repeats cofinally in a loop are every state from the lowest
-    to the highest of them.  Take a stretch of the loop from a visit of its
-    lowest state to a later visit of its highest, and let m be the highest
-    state visited so far in the stretch.  No transition goes past m + 1:
+    A closure on entry idx collapses, in each component, the states of its
+    window, the entries from idx on: every state from the least to the
+    greatest of them, and no other.  Below, for the left component (the
+    right one is the same).
+
+    The interval has no gaps, because the states that a component repeats
+    cofinally in a loop are every state from the lowest to the highest of
+    them.  Take a stretch of the loop from a visit of its lowest state to a
+    later visit of its highest, and let h be the highest state visited so
+    far in the stretch.  No transition goes past h + 1:
     - a successor from s goes to at most s + 1 (`SingleWordAutomaton`
       refuses any other when it is built);
     - a limit transition on (lo, hi) goes to hi + 1, and hi, repeated
       cofinally before the limit, was visited within the stretch;
     - the edges that `SharpAutomaton` adds go back (j -> i+1) or stay
       inside ({i+1..j} -> j).
-    So m climbs one state at a time, and the stretch visits every state on
-    the way."""
+    So h climbs one state at a time, and the stretch visits every state on
+    the way.
+
+    The window alone holds both ends, though a limit entry m after idx
+    stands for the states [lo_m, hi_m] that its own closures collapsed,
+    which recur in the loop too.  If m's last closure opened at idx_m >=
+    idx, its window lies in ours.  Otherwise idx_m < idx < m, so lefts[idx]
+    lies in [lo_m, hi_m], and lefts[m] = hi_m + 1 lies in our window: that
+    is the upper end.  For the lower end: to repeat the pair at idx, the
+    run must first step from above hi_m to at most hi_m.  A limit
+    transition cannot do that, so the step is a back edge s -> b+1 of an
+    w-body, with b+1 <= hi_m < s.  That body's interval [b+1, s] meets
+    [lo_m, hi_m], and limit intervals nest, so b+1 <= lo_m; the sharp's own
+    back edge goes to i+1, its least state.  The state the edge lands on is
+    in our window, so the window's minimum is at most lo_m.
+
+    The last closure of a cascade opens its earliest loop, so its window
+    holds every other window of the cascade, and `closures` reads each
+    limit entry's collapsed states from it."""
 
     def __init__(self, first: tuple[int, int]):
         self._lefts: list[int] = [first[0]]              # the pairs, by component
@@ -61,9 +82,6 @@ class Trace:
         self._index: dict[tuple[int, int], int] = {first: 0}
         self._limit_at: list[int] = [0]                  # limit entry indices, increasing
         self._cascades: list[tuple[int, ...]] = [()]
-        # lo, hi of the collapsed states of limit entries 1, 2, ... by component
-        self._carried_l: list[int] = []
-        self._carried_r: list[int] = []
         self._limit_pos: list[Ordinal] = [ZERO]          # of the first limit entries
 
     def __len__(self) -> int:
@@ -82,9 +100,12 @@ class Trace:
 
     def closures(self):
         """(entry, rlo, rhi) for each limit entry after the first: its index
-        and the interval of right states its cascade collapsed."""
-        carried = self._carried_r
-        return zip(self._limit_at[1:], carried[::2], carried[1::2])
+        and the interval of right states its cascade collapsed, those of its
+        last closure's window."""
+        rights = self._rights
+        for m, cascade in zip(self._limit_at[1:], self._cascades[1:]):
+            window = rights[cascade[-1]:m]
+            yield m, min(window), max(window)
 
     def position(self, i: int) -> Ordinal:
         """Ordinal position at which the run first reached entry i (negative
@@ -165,36 +186,22 @@ def sync_step(left, right, trace: Trace):
             rights.append(t)
             continue
         # a repeated pair closes a loop; nested loops may cascade when the
-        # run entered an outer loop mid-cycle.  Each closure widens the span
-        # of collapsed states with its window (the pairs from its entry on)
-        # and the spans carried by the limit entries after the entry, so it
-        # includes the states of the closures before it.  The repeated pair
-        # lies in the first window, so its states start the span.
-        limit_at, carried_l, carried_r = trace._limit_at, trace._carried_l, trace._carried_r
-        llo = lhi = s
-        rlo = rhi = t
+        # run entered an outer loop mid-cycle.  Each closure collapses the
+        # interval of its window, the pairs from its entry on.
         cascade = []
         while pair in index:
             idx = index[pair]
             cascade.append(idx)
-            k = 2 * (bisect_right(limit_at, idx) - 1)
-            states = lefts[idx:]
-            states += carried_l[k:]
-            states += (llo, lhi)
-            llo, lhi = min(states), max(states)
-            states = rights[idx:]
-            states += carried_r[k:]
-            states += (rlo, rhi)
-            rlo, rhi = min(states), max(states)
-            pair = (left.limit_target(llo, lhi), right.limit_target(rlo, rhi))
-        s, t = pair
+            window = lefts[idx:]
+            s = left.limit_target(min(window), max(window))
+            window = rights[idx:]
+            t = right.limit_target(min(window), max(window))
+            pair = (s, t)
         index[pair] = len(lefts)
-        limit_at.append(len(lefts))
+        trace._limit_at.append(len(lefts))
         lefts.append(s)
         rights.append(t)
         trace._cascades.append(tuple(cascade))
-        carried_l += (llo, lhi)
-        carried_r += (rlo, rhi)
 
 
 def run_to_divergence(left, right):

@@ -9,11 +9,11 @@ from ratword.automaton import (AutomatonError, MissingLimitError, SharpAutomaton
                                numbered_word, suffix_word, to_dot, validate)
 from ratword.duplication import tau
 from ratword.expr import (Concat, Letter, Omega, concat, expr_length, format_expr,
-                          parse_expr, prefix_to, suffix_from)
+                          parse_expr, prefix_to, split_at, suffix_from)
 from ratword.factorizer import factorize, marked_expression
 from ratword.gen import random_expr
 from ratword.order import word_equal
-from ratword.ordinal import Ordinal
+from ratword.ordinal import OMEGA, ONE, ZERO, Ordinal, sub_left
 
 W = Ordinal.omega
 fin = Ordinal.from_int
@@ -172,6 +172,79 @@ def test_suffix_word_examples():
     assert word_equal(suffix_word(auto, 2), parse_expr("b(a^wb)^wa^w"))
     assert word_equal(suffix_word(auto, 4), parse_expr("a^w"))
     assert suffix_word(auto, 6) is None
+
+
+def reference_suffix_word(auto, q):
+    """suffix_word as first written, with a walk of its own: a repeated
+    state closes a loop, whose states are the visits since the state's
+    first visit, re-appended in order on each closure so that an enclosing
+    loop sees them again; positions of first visits are kept as ordinals."""
+    if not 0 <= q <= auto.n:
+        raise AutomatonError(f"state {q} out of range")
+    if q == auto.n:
+        return None
+    s = q
+    seq = [s]                    # visit order, entry states re-appended on closure
+    first = {s: 0}               # state -> first index in seq
+    first_pos = {s: ZERO}        # state -> ordinal position of first visit
+    parts = []
+    pos = ZERO
+    budget = (auto.n + 2) * (auto.n + 2)
+    while s != auto.n:
+        if budget < 0:
+            raise AutomatonError("runaway walk; automaton is corrupt")
+        budget -= 1
+        letter, target = auto.succ[s]
+        piece = Letter(letter)
+        pos = pos + ONE
+        while target in first:
+            entry = target
+            cofinal = set(seq[first[entry]:]) | {entry}
+            seq.extend(sorted(cofinal))  # every loop state is visited again
+            # pos is the length of parts and piece: the word read so far
+            entry_pos = first_pos[entry]
+            parts, body = split_at(concat(parts + [piece]), entry_pos)
+            piece = Omega(concat(body))
+            pos = entry_pos + sub_left(entry_pos, pos) * OMEGA
+            target = auto.limit_target(min(cofinal), max(cofinal))
+        parts.append(piece)
+        seq.append(target)
+        first[target] = len(seq) - 1
+        first_pos[target] = pos
+        s = target
+    return concat(parts)
+
+
+def nesting(depth):
+    """(...(ab)^wb...)^wb, w-powers nested depth deep."""
+    return parse_expr("(" * depth + "ab" + ")^wb" * depth)
+
+
+def test_suffix_word_matches_its_own_walk():
+    """suffix_word, read off a runner trace, gives the same text and the
+    same expression as the walk it replaced, from every state (mid-loop
+    starts included) of 1,000 random_expr draws and their tau, of the
+    carried-state pairs of tests/test_order.py and of 20- and 40-deep
+    nestings."""
+    rng = random.Random(17)
+    draws = [random_expr(rng, max_size=12, max_depth=3, letters="abc") for _ in range(1000)]
+    exprs = draws + [tau(e) for e in draws]
+    exprs += [parse_expr(text) for text in [
+        "b((bb)^w)^w(abbb)^w", "(b(bb)^w)^wa", "((aaa)^wa)^w", "a(a^w)^wab^w",
+        "(b^wb(b^w)^wa)^w", "(((bbbb)^w)^w)^w", "(b(bbb)^wb)^w", "bb(b^w)^w(abbb)^w"]]
+    exprs += [nesting(20), nesting(40)]
+    mid_loop = 0
+    for e in exprs:
+        auto = compile_expr(e)
+        for q in range(auto.n + 1):
+            got, expected = suffix_word(auto, q), reference_suffix_word(auto, q)
+            if q == auto.n:
+                assert got is None and expected is None
+                continue
+            assert format_expr(got) == format_expr(expected), (format_expr(e), q)
+            assert got == expected
+            mid_loop += auto.in_loop[q]
+    assert mid_loop > 1000
 
 
 def test_to_dot():

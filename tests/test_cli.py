@@ -171,12 +171,23 @@ def test_compare(capsys):
 
 
 def test_prime(capsys):
+    # (ba)^wb^w and the three after it have their witness state inside a
+    # loop: the suffix is written as the walk from that state reads it, loop
+    # bodies rotated, not as suffix_from would cut the expression
+    deep = "(" * 40 + "ab" + ")^wb" * 40
     for text, expected in [
         ("a^wb", "prime"),
         ("(ab)^w", "not prime: equals (ab)^[w]"),
         ("abab", "not prime: equals (ab)^[2]"),
         ("aba", "not prime: suffix at state 2 (a) is smaller"),
         ("ba^w", "not prime: suffix at state 1 (aa^w) is smaller"),
+        ("(ba)^wb^w", "not prime: suffix at state 1 ((ab)^wbb^w) is smaller"),
+        ("b" + deep, "not prime: suffix at state 1 (a" + "(" * 40 + "ba" + ")^wba" * 39
+         + ")^wb) is smaller"),
+        ("((ba)^w)^wc", "not prime: suffix at state 1 (((ab)^wb)^wc) is smaller"),
+        ("acb((b(ca)^w)^w)^w",
+         "not prime: suffix at state 5 ((ac)^wb(c((ac)^wbc)^wb)^w) is smaller"),
+        (deep, "prime"),
     ]:
         code, out, _ = run(capsys, "prime", text)
         assert code == 0 and out == expected + "\n", text

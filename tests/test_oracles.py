@@ -12,8 +12,12 @@ from ratword import (
     primitive_root,
     word_equal,
 )
+from ratword.automaton import compile_expr, expr_of_range
+from ratword.duplication import tau
+from ratword.expr import expr_length
 from ratword.ordinal import ONE, OMEGA, Ordinal
-from ratword.gen import random_finite_word
+from ratword.gen import random_expr, random_finite_word
+from ratword.runner import Trace, sync_step
 
 E = parse_expr
 
@@ -71,6 +75,24 @@ def test_primitive_root_reconstructs():
         e = random_expr(rng, max_size=8, max_depth=2, letters="ab")
         root, alpha = primitive_root(e)
         assert word_equal(power(root, alpha), e)
+
+
+def test_primitive_root_candidates_are_the_prefix_lengths():
+    """The position at which one run of the automaton against itself first
+    reaches (s, s), a candidate root length of primitive_root, is the
+    length of the token range [0, s) read back, on 500 draws, their tau
+    and a 60-deep nesting."""
+    rng = random.Random(23)
+    draws = [random_expr(rng, max_size=12, max_depth=3, letters="abc") for _ in range(500)]
+    draws += [tau(e) for e in draws]
+    draws.append(E("(" * 60 + "ab" + ")^wb" * 60))
+    for e in draws:
+        auto = compile_expr(e)
+        trace = Trace((0, 0))
+        sync_step(auto, auto, trace)
+        for s in range(1, auto.n):
+            assert trace.position(trace._index[(s, s)]) == \
+                expr_length(expr_of_range(auto, 0, s))
 
 
 def test_longest_prime_prefix():

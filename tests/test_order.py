@@ -266,11 +266,24 @@ class CountingLimits:
 
 # -- the step-by-step reference ----------------------------------------------
 #
-# runner.sync_step runs the product to its next stop in one loop.  The
-# reference below is the run as first written, one step per call: it
-# returns the pair that a letter reached (Advanced) or that a cascade of
-# loop closures reached (LoopClosed), and stores the same entries, limit
-# entries, cascades and carried spans in a runner.Trace.
+# runner.sync_step runs the product to its next stop in one loop, and a
+# closure collapses the interval of its own window.  The reference below is
+# the run as first written, one step per call: it returns the pair that a
+# letter reached (Advanced) or that a cascade of loop closures reached
+# (LoopClosed), stores the same entries, limit entries and cascades, and
+# carries the states each cascade collapsed as spans on a ReferenceTrace.
+# A closure there widens the span so far with its window and with the spans
+# carried by the limit entries after its entry.
+
+class ReferenceTrace(Trace):
+    """A runner.Trace that also carries, by component, lo and hi of the
+    states collapsed by the cascade of each limit entry after the first."""
+
+    def __init__(self, first):
+        super().__init__(first)
+        self._carried_l = []
+        self._carried_r = []
+
 
 class Advanced:
     def __init__(self, pair):
@@ -354,8 +367,7 @@ def stop_fields(out):
     return type(out), [getattr(out, name) for name in type(out).__slots__]
 
 
-TRACE_FIELDS = ("_lefts", "_rights", "_index", "_limit_at", "_cascades", "_carried_l",
-                "_carried_r")
+TRACE_FIELDS = ("_lefts", "_rights", "_index", "_limit_at", "_cascades")
 
 
 def test_cascading_closure_positions():
@@ -436,12 +448,15 @@ def set_step(left, right, t):
 
 class RunsAgainstReference:
     """A stand-in for sync_step.  It runs runner.sync_step, replays the same
-    run step by step with reference_step on a second Trace and with the
+    run step by step with reference_step on a ReferenceTrace and with the
     set-based closure on a SetTrace, and checks the finished traces: every
     field equal to the reference's, the same stop, the SetTrace's pairs and
     limit entries, and every carried span the sets that the set-based
-    closure collapsed.  It sums the loop closures, the steps that closed
-    more than one loop, and the closures whose carried sets added states."""
+    closure collapsed.  The carried spans are also those that the window
+    rule reads: closures() gives the right ones, and the window of each
+    cascade's last closure spans the left ones.  It sums the loop closures,
+    the steps that closed more than one loop, and the closures whose
+    carried sets added states."""
 
     def __init__(self):
         self.closures = self.cascades = self.widened = 0
@@ -450,18 +465,24 @@ class RunsAgainstReference:
         assert len(trace) == 1        # one call per run, on a fresh trace
         first = trace.last_pair
         out = sync_step(left, right, trace)
-        reference, shadow = Trace(first), SetTrace(first)
+        reference, shadow = ReferenceTrace(first), SetTrace(first)
         assert stop_fields(out) == stop_fields(reference_run(left, right, reference))
         for name in TRACE_FIELDS:
             assert getattr(trace, name) == getattr(reference, name), name
         while set_step(left, right, shadow) is not None:
             pass
         assert trace.pairs() == shadow.pairs and trace._limit_at == shadow.limit_at
-        lefts, rights = trace._carried_l, trace._carried_r
+        lefts, rights = reference._carried_l, reference._carried_r
         spans = list(zip(lefts[::2], lefts[1::2], rights[::2], rights[1::2]))
         assert len(spans) == len(shadow.carried) - 1
         for (llo, lhi, rlo, rhi), sets in zip(spans, shadow.carried[1:]):
             assert sets == (set(range(llo, lhi + 1)), set(range(rlo, rhi + 1)))
+        limits = trace._limit_at[1:]
+        assert list(trace.closures()) == [(m, rlo, rhi) for m, (_, _, rlo, rhi)
+                                          in zip(limits, spans)]
+        for m, cascade, span in zip(limits, trace._cascades[1:], spans):
+            window = trace._lefts[cascade[-1]:m]
+            assert (min(window), max(window)) == span[:2]
         self.closures += len(spans)
         self.cascades += shadow.cascades
         self.widened += shadow.widened
@@ -533,7 +554,7 @@ def reference_marking(auto, alphabet=DEFAULT_ALPHABET):
     i = 0
     _, start = auto.succ[0]
     j = start
-    history = Trace((start, 0))
+    history = ReferenceTrace((start, 0))
     sharp = SharpAutomaton(auto, 0, start)
     seen_left = {0, start}
     log.append(StepRecord("init", tuple(history.pairs())))
@@ -564,7 +585,7 @@ def reference_marking(auto, alphabet=DEFAULT_ALPHABET):
                     case = "2b"
                     j = max(seen_left) + 1
                 seen_left.add(j)
-                history = Trace((j, i))
+                history = ReferenceTrace((j, i))
                 sharp = SharpAutomaton(auto, i, j)
             else:
                 case = "3"
@@ -580,7 +601,7 @@ def reference_marking(auto, alphabet=DEFAULT_ALPHABET):
                 _, target = auto.succ[i]
                 j = target
                 seen_left = {i, j}
-                history = Trace((j, i))
+                history = ReferenceTrace((j, i))
                 sharp = SharpAutomaton(auto, i, j)
                 log.append(StepRecord("init", tuple(history.pairs())))
                 continue
