@@ -3,13 +3,12 @@
 from .automaton import (SingleWordAutomaton, compile_expr, numbered_word, render_tokens,
                         suffix_word, to_dot, validate)
 from .duplication import depth, size, tau
-from .expr import (Alphabet, Concat, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
-                   as_finite_word, concat, expr_length, format_expr, letter_at,
-                   parse_expr, power, prefix_to, suffix_from)
+from .expr import (Concat, Letter, Omega, RatExpr, as_finite_word, concat, expr_length,
+                   format_expr, letter_at, parse_expr, power, prefix_to, suffix_from)
 from .factorizer import (Factorization, FactorizerState, extract_factorization,
                          factorize, factorize_states, marked_expression)
-from .oracles import (brute_force_factorize, duval_factorize, is_prime_finite,
-                      is_prime_rational, prime_witness, primitive_root)
+from .oracles import (duval_factorize, is_prime_finite, is_prime_rational, prime_witness,
+                      primitive_root)
 from .order import CompareOutcome, Rel, compare, compare_via_automata, word_equal
 from .ordinal import (Ordinal, OrdinalError, div_left, format_ordinal, parse_ordinal,
                       sub_left)

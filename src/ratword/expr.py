@@ -16,33 +16,9 @@ class ExprError(ValueError):
     pass
 
 
-class Alphabet:
-    """Finite ordered alphabet of single-character letters."""
-
-    def __init__(self, letters: str = "abcdefghijklmnopqrstuvwxyz"):
-        self.letters = tuple(letters)
-        if len(set(self.letters)) != len(self.letters):
-            raise ExprError("duplicate letters in alphabet")
-        self._rank = {a: i for i, a in enumerate(self.letters)}
-
-    def __contains__(self, a: str) -> bool:
-        return a in self._rank
-
-    def rank(self, a: str) -> int:
-        try:
-            return self._rank[a]
-        except KeyError:
-            raise ExprError(f"letter {a!r} not in alphabet") from None
-
-    def lt(self, a: str, b: str) -> bool:
-        rank = self._rank
-        try:
-            return rank[a] < rank[b]
-        except KeyError as missing:
-            raise ExprError(f"letter {missing.args[0]!r} not in alphabet") from None
-
-
-DEFAULT_ALPHABET = Alphabet()
+# The letters an expression may be written with.  Letters compare as Python
+# strings, so their order is the order of this string.
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class RatExpr:
@@ -91,7 +67,7 @@ class RatExpr:
         return True
 
 
-_LETTERS: dict[str, Letter] = {}
+_SHARED: dict[str, Letter] = {}
 
 
 class Letter(RatExpr):
@@ -100,9 +76,9 @@ class Letter(RatExpr):
 
     def __new__(cls, sym: str) -> Letter:
         try:
-            return _LETTERS[sym]
+            return _SHARED[sym]
         except KeyError:
-            node = _LETTERS[sym] = object.__new__(cls)
+            node = _SHARED[sym] = object.__new__(cls)
             _set_sym(node, sym)
             _set_hash(node, hash((sym,)))
             return node
@@ -227,7 +203,7 @@ def format_expr(e: RatExpr) -> str:
     return "".join(out)
 
 
-def parse_expr(text: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> RatExpr:
+def parse_expr(text: str) -> RatExpr:
     """Parse the surface grammar: juxtaposition concatenates, ^w (or ^ω) is
     w-power, parentheses group.  Iterative, so any nesting depth parses."""
     s = text.replace("ω", "w")
@@ -253,7 +229,7 @@ def parse_expr(text: str, alphabet: Alphabet = DEFAULT_ALPHABET) -> RatExpr:
             pos += 1
             atom = concat(parts)
             parts = outer.pop()
-        elif s[pos] in alphabet:
+        elif s[pos] in LETTERS:
             atom = Letter(s[pos])
             pos += 1
         else:

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from .automaton import (SharpAutomaton, SingleWordAutomaton, compile_expr,
                         expr_of_range, render_tokens)
 from .duplication import tau
-from .expr import (Alphabet, DEFAULT_ALPHABET, Letter, RatExpr, concat,
-                   expr_length, format_expr, power)
+from .expr import Letter, RatExpr, concat, expr_length, format_expr, power
 from .order import word_equal
 from .ordinal import ONE, Ordinal, div_left, format_ordinal
 from .runner import Diverged, RightEnded, Trace, sync_step
@@ -74,8 +73,7 @@ class Factorization:
         return " * ".join(out)
 
 
-def factorize_states(auto: SingleWordAutomaton, alphabet: Alphabet = DEFAULT_ALPHABET,
-                     keep_log: bool = False) -> FactorizerState:
+def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> FactorizerState:
     """Run the marking algorithm on a compiled (already duplicated) word
     automaton and return the marked state sets."""
     n = auto.n
@@ -108,8 +106,7 @@ def factorize_states(auto: SingleWordAutomaton, alphabet: Alphabet = DEFAULT_ALP
         if isinstance(outcome, RightEnded):
             raise FactorizeError("sharp automaton has no final state; cannot end")
         k = history.last_pair[0]
-        if isinstance(outcome, Diverged) and \
-                alphabet.rank(outcome.left_letter) > alphabet.rank(outcome.right_letter):
+        if isinstance(outcome, Diverged) and outcome.left_letter > outcome.right_letter:
             # the suffix at j is larger: extend the candidate prefix past k.
             # The check is against the whole main run since i: a revisited
             # target means the main run is inside a loop, and the cut moves
@@ -182,14 +179,14 @@ def extract_factorization(auto: SingleWordAutomaton, q_main: set[int],
     return Factorization(tuple(blocks))
 
 
-def factorize(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET,
+def factorize(e: RatExpr,
               keep_log: bool = False) -> tuple[Factorization, FactorizerState, RatExpr]:
     """Full pipeline: duplicate, compile, mark, extract.  Returns the
     factorization together with the marked state sets and the duplicated
     expression the automaton was built from."""
     dup = tau(e)
     auto = compile_expr(dup)
-    state = factorize_states(auto, alphabet, keep_log=keep_log)
+    state = factorize_states(auto, keep_log=keep_log)
     return extract_factorization(auto, state.q_main, state.q_secondary), state, dup
 
 

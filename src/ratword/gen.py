@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from .expr import Letter, Omega, RatExpr, concat
-from .ordinal import Ordinal
 
 
 def random_expr(rng: random.Random, max_size: int = 12, max_depth: int = 3,
@@ -37,15 +36,3 @@ def random_expr(rng: random.Random, max_size: int = 12, max_depth: int = 3,
 
     expr, _ = go(max_size, max_depth)
     return expr
-
-
-def random_finite_word(rng: random.Random, max_len: int, letters: str = "ab") -> str:
-    return "".join(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
-
-
-def random_ordinal(rng: random.Random, max_exp: int = 3, max_coeff: int = 5) -> Ordinal:
-    terms = []
-    for exp in range(rng.randint(0, max_exp), -1, -1):
-        if rng.random() < 0.5:
-            terms.append((exp, rng.randint(1, max_coeff)))
-    return Ordinal(tuple(terms))

@@ -25,8 +25,7 @@ import enum
 from operator import itemgetter
 
 from .automaton import compile_expr
-from .expr import (Alphabet, DEFAULT_ALPHABET, RatExpr, as_finite_word, expr_length,
-                   first_letters, omega_prefix)
+from .expr import RatExpr, as_finite_word, expr_length, first_letters, omega_prefix
 from .ordinal import Ordinal
 from .runner import BothEnded, Diverged, LeftEnded, RightEnded, run_to_divergence
 
@@ -93,7 +92,7 @@ class CompareOutcome(tuple):
 _EQUAL_OUTCOME = CompareOutcome(_EQUAL)
 
 
-def _compare_finite(u: str, v: str, alphabet: Alphabet) -> CompareOutcome:
+def _compare_finite(u: str, v: str) -> CompareOutcome:
     if u == v:
         return _EQUAL_OUTCOME
     if v.startswith(u):
@@ -109,41 +108,36 @@ def _compare_finite(u: str, v: str, alphabet: Alphabet) -> CompareOutcome:
         else:
             hi = mid
     a, b = u[lo], v[lo]
-    rel = _LESS if alphabet.lt(a, b) else _GREATER
-    return CompareOutcome(rel, Ordinal.from_int(lo), (a, b))
+    return CompareOutcome(_LESS if a < b else _GREATER, Ordinal.from_int(lo), (a, b))
 
 
-def compare(x: RatExpr | str, y: RatExpr | str,
-            alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:
+def compare(x: RatExpr | str, y: RatExpr | str) -> CompareOutcome:
     """Compare two words; either may be a finite word given as a str."""
     u = x if type(x) is str else as_finite_word(x)
     v = y if type(y) is str else as_finite_word(y)
     if u is not None:
-        return _compare_finite(u, v if v is not None else first_letters(y, len(u) + 1),
-                               alphabet)
+        return _compare_finite(u, v if v is not None else first_letters(y, len(u) + 1))
     if v is not None:
-        return _compare_finite(first_letters(x, len(v) + 1), v, alphabet)
+        return _compare_finite(first_letters(x, len(v) + 1), v)
     if x is y:
         return _EQUAL_OUTCOME
     (u1, p1), (u2, p2) = omega_prefix(x), omega_prefix(y)
     n = max(len(u1), len(u2)) + len(p1) + len(p2)
     u, v = (u1 + p1 * (n // len(p1) + 1))[:n], (u2 + p2 * (n // len(p2) + 1))[:n]
     if u != v:
-        return _compare_finite(u, v, alphabet)
+        return _compare_finite(u, v)
     if x == y:
         return _EQUAL_OUTCOME
-    return compare_via_automata(x, y, alphabet)
+    return compare_via_automata(x, y)
 
 
-def compare_via_automata(x: RatExpr, y: RatExpr,
-                         alphabet: Alphabet = DEFAULT_ALPHABET) -> CompareOutcome:
+def compare_via_automata(x: RatExpr, y: RatExpr) -> CompareOutcome:
     """The product-run path of compare, taken for any two expressions, finite
     or not (tests cross-check it against compare's string paths)."""
     trace, outcome = run_to_divergence(compile_expr(x), compile_expr(y))
     if isinstance(outcome, Diverged):
         a, b = outcome.left_letter, outcome.right_letter
-        rel = _LESS if alphabet.lt(a, b) else _GREATER
-        return CompareOutcome(rel, trace.position(-1), (a, b))
+        return CompareOutcome(_LESS if a < b else _GREATER, trace.position(-1), (a, b))
     if isinstance(outcome, LeftEnded):
         return CompareOutcome(_LEFT_PREFIX, expr_length(x))
     if isinstance(outcome, RightEnded):
@@ -152,5 +146,5 @@ def compare_via_automata(x: RatExpr, y: RatExpr,
     return _EQUAL_OUTCOME
 
 
-def word_equal(x: RatExpr | str, y: RatExpr | str, alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
-    return compare(x, y, alphabet).is_equal
+def word_equal(x: RatExpr | str, y: RatExpr | str) -> bool:
+    return compare(x, y).is_equal

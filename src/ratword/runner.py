@@ -18,7 +18,8 @@ are the interval spanned by the closure's own window (see `Trace`).
 
 `sync_step` is the package's one walk along transitions: `suffix_word` and
 `primitive_root` read a word's suffixes and prefix lengths off the trace of
-its automaton run against itself."""
+its automaton run against itself, and `prime_witness` compares each suffix
+with the word by such a run."""
 
 from __future__ import annotations
 

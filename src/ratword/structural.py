@@ -20,8 +20,8 @@ expressions only."""
 
 from __future__ import annotations
 
-from .expr import (Alphabet, Concat, DEFAULT_ALPHABET, Letter, Omega, RatExpr,
-                   as_finite_word, concat, fold, format_expr, power, word_expr)
+from .expr import (Concat, Letter, Omega, RatExpr, as_finite_word, concat, fold,
+                   format_expr, power, word_expr)
 from .factorizer import Factorization
 from .order import CompareOutcome, compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
@@ -38,13 +38,12 @@ def _expr(p: Prime) -> RatExpr:
 
 
 def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
-              alphabet: Alphabet = DEFAULT_ALPHABET,
               out: CompareOutcome | None = None) -> tuple[Prime, Ordinal]:
     """Combine u^alpha v^beta (u, v prime, u <=lex v) into a single prime power.
     `out` is compare(u, v) when the caller already has it.  Two str primes
     with finite exponents give a str."""
     if out is None:
-        out = compare(u, v, alphabet)
+        out = compare(u, v)
     if out.is_equal:
         return v, alpha + beta
     if not out.left_lt:
@@ -58,31 +57,28 @@ def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
     u, v = _expr(u), _expr(v)
     # u^alpha is absorbed by v when u^alpha v = v: the result is v^beta.  A
     # finite v never absorbs, since |u^alpha v| > |v|.
-    if as_finite_word(v) is None and word_equal(concat([power(u, alpha), v]), v, alphabet):
+    if as_finite_word(v) is None and word_equal(concat([power(u, alpha), v]), v):
         return v, beta
     return concat([power(u, alpha), power(v, beta)]), ONE
 
 
 def fact_product(left: list[tuple[Prime, Ordinal]],
-                 right: list[tuple[Prime, Ordinal]],
-                 alphabet: Alphabet = DEFAULT_ALPHABET) -> list[tuple[Prime, Ordinal]]:
+                 right: list[tuple[Prime, Ordinal]]) -> list[tuple[Prime, Ordinal]]:
     """Factorization of a product from factorizations of the parts; only
     boundary blocks can merge, repeatedly."""
     blocks = list(left)
     for v, beta in right:
         while blocks:
-            out = compare(blocks[-1][0], v, alphabet)
+            out = compare(blocks[-1][0], v)
             if not out.left_le:
                 break
             u, alpha = blocks.pop()
-            v, beta = concat_pp(u, alpha, v, beta, alphabet, out)
+            v, beta = concat_pp(u, alpha, v, beta, out)
         blocks.append((v, beta))
     return blocks
 
 
-def circular_fact(blocks: list[tuple[Prime, Ordinal]],
-                  alphabet: Alphabet = DEFAULT_ALPHABET
-                  ) -> tuple[int, Prime, Ordinal]:
+def circular_fact(blocks: list[tuple[Prime, Ordinal]]) -> tuple[int, Prime, Ordinal]:
     """Rotate a cyclic sequence of prime powers into a single prime power.
 
     Returns (k, v, beta) with v^beta the product of blocks k+1..n, 1..k;
@@ -105,9 +101,9 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]],
             nxt = (pos + 1) % len(ring)
             s1, u, alpha = ring[pos]
             _, v, beta = ring[nxt]
-            out = compare(u, v, alphabet)
+            out = compare(u, v)
             if out.left_le:
-                w, gamma = concat_pp(u, alpha, v, beta, alphabet, out)
+                w, gamma = concat_pp(u, alpha, v, beta, out)
                 if nxt == 0:
                     # merged across the wrap: the merged block now leads
                     ring = [(s1, w, gamma)] + ring[1:pos]
@@ -120,15 +116,14 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]],
     return (start - 1 if start > 1 else n), v, beta
 
 
-def fact_omega(blocks: list[tuple[Prime, Ordinal]],
-               alphabet: Alphabet = DEFAULT_ALPHABET) -> list[tuple[Prime, Ordinal]]:
+def fact_omega(blocks: list[tuple[Prime, Ordinal]]) -> list[tuple[Prime, Ordinal]]:
     """Factorization of x^w from the factorization of x."""
     if len(blocks) == 1:
         u, alpha = blocks[0]
         return [(u, alpha * OMEGA)]
-    k, v, beta = circular_fact(blocks, alphabet)
+    k, v, beta = circular_fact(blocks)
     u_k, alpha_k = blocks[k - 1]
-    out = compare(v, u_k, alphabet)
+    out = compare(v, u_k)
     if not out.left_le:
         raise StructuralError("rotated prime exceeds its pivot")
     if k == len(blocks):
@@ -144,14 +139,14 @@ def fact_omega(blocks: list[tuple[Prime, Ordinal]],
 RECURSION_LEVELS = 50
 
 
-def factorize_structural(e: RatExpr, alphabet: Alphabet = DEFAULT_ALPHABET) -> Factorization:
+def factorize_structural(e: RatExpr) -> Factorization:
     def visit(node: RatExpr, kids: list) -> list[tuple[Prime, Ordinal]]:
         if type(node) is Letter:
             return [(node.sym, ONE)]
         if type(node) is Omega:
-            return fact_omega(kids[0], alphabet)
+            return fact_omega(kids[0])
         # one product of all the parts' blocks: fact_product folds over them
-        return fact_product([], [b for blocks in kids for b in blocks], alphabet)
+        return fact_product([], [b for blocks in kids for b in blocks])
 
     def go(node: RatExpr, levels: int) -> list[tuple[Prime, Ordinal]]:
         # visit over a recursion; a letter is answered here, as a call of

@@ -7,7 +7,6 @@ import random
 import time
 
 from ratword import (
-    brute_force_factorize,
     circular_fact,
     compare,
     concat,
@@ -27,9 +26,11 @@ from ratword import (
     word_equal,
 )
 from ratword.expr import Letter, Omega
-from ratword.gen import random_expr, random_finite_word, random_ordinal
+from ratword.gen import random_expr
 from ratword.ordinal import ONE, OMEGA, Ordinal, div_left, sub_left
 from ratword.order import Rel
+
+from helpers import brute_force_factorize, random_finite_word, random_ordinal
 
 E = parse_expr
 

@@ -12,6 +12,7 @@ from ratword.duplication import TAU_TOKENS, depth, size, tau
 from ratword.expr import (ExprError, expr_length, format_expr, letter_at, parse_expr,
                           prefix_to, suffix_from)
 from ratword.factorizer import factorize
+from ratword.oracles import prime_witness
 from ratword.order import Rel, compare
 from ratword.ordinal import Ordinal
 from ratword.structural import factorize_structural
@@ -122,6 +123,16 @@ def test_unequal_nestings_that_agree_on_their_first_w_letters_compare_fast():
     assert time.perf_counter() - start < 1
     assert (out.rel, out.position, out.letters) == \
         (Rel.LESS, Ordinal(((999, 1),)), ("b", "c"))
+
+
+def test_prime_witness_answers_a_100_deep_nesting_fast():
+    """One product run per state decides every suffix; only a witness's
+    suffix would be written out, and this word has none."""
+    e = parse_expr(nest(100, "b" * 100))
+    start = time.perf_counter()
+    assert prime_witness(e) is None
+    assert time.perf_counter() - start < 1
+    compile_expr.cache_clear()
 
 
 @pytest.mark.parametrize("text", [tower(30), nest(800)], ids=["tower30", "nest800"])

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
-from ratword.expr import (Alphabet, Concat, ExprError, Letter, Omega, as_finite_word, concat,
+from ratword.expr import (Concat, ExprError, Letter, Omega, as_finite_word, concat,
                           expr_length, first_letters, format_expr, letter_at, omega_prefix,
                           parse_expr, power, prefix_to, suffix_from, word_expr)
-from ratword.gen import random_expr, random_ordinal
-from ratword.order import compare, word_equal
+from ratword.gen import random_expr
+from ratword.order import word_equal
 from ratword.ordinal import Ordinal, ZERO
+
+from helpers import random_ordinal
 
 W = Ordinal.omega
 fin = Ordinal.from_int
@@ -31,17 +33,8 @@ def test_parse_errors():
     for text in ["", "()", "(a", "a)", "a^", "a^b", "a+b", "A"]:
         with pytest.raises(ExprError):
             parse_expr(text)
-
-
-def test_alphabet_order_and_unknown_letters():
-    alphabet = Alphabet("cab")
-    assert alphabet.lt("c", "a") and alphabet.lt("a", "b") and not alphabet.lt("b", "c")
-    assert not alphabet.lt("a", "a")
-    for a, b in (("x", "a"), ("a", "x"), ("x", "y")):
-        with pytest.raises(ExprError, match=r"^letter 'x' not in alphabet$"):
-            alphabet.lt(a, b)
-    with pytest.raises(ExprError, match=r"^letter 'x' not in alphabet$"):
-        compare("cx", "ca", alphabet)
+    with pytest.raises(ExprError, match=r"^'A': unexpected character 'A' at position 0$"):
+        parse_expr("A")
 
 
 def test_w_is_a_plain_letter_outside_powers():

@@ -11,14 +11,16 @@ from hypothesis import given, settings, strategies as st
 from ratword import factorizer, order, runner
 from ratword.automaton import SharpAutomaton, compile_expr
 from ratword.duplication import tau
-from ratword.expr import (DEFAULT_ALPHABET, Alphabet, Letter, Omega, as_finite_word, concat,
-                          first_letters, format_expr, letter_at, parse_expr, prefix_to)
+from ratword.expr import (Letter, Omega, as_finite_word, concat, first_letters, format_expr,
+                          letter_at, parse_expr, prefix_to)
 from ratword.factorizer import FactorizeError, FactorizerState, StepRecord
-from ratword.gen import random_expr, random_finite_word
+from ratword.gen import random_expr
 from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compare_via_automata,
                            word_equal)
 from ratword.ordinal import Ordinal, parse_ordinal
 from ratword.runner import RightEnded, Trace, run_to_divergence, sync_step
+
+from helpers import random_finite_word
 
 W = Ordinal.omega
 fin = Ordinal.from_int
@@ -190,11 +192,11 @@ def test_finite_against_transfinite_examples():
     assert (out.rel, out.position) == (Rel.LEFT_PREFIX, fin(4))
 
 
-def compare_finite_reference(u, v, alphabet):
+def compare_finite_reference(u, v):
     """(rel, position, letters) by a scan of the letters one at a time."""
     for i, (a, b) in enumerate(zip(u, v)):
         if a != b:
-            rel = Rel.LESS if alphabet.rank(a) < alphabet.rank(b) else Rel.GREATER
+            rel = Rel.LESS if a < b else Rel.GREATER
             return rel, fin(i), (a, b)
     if len(u) == len(v):
         return Rel.EQUAL, None, None
@@ -205,7 +207,10 @@ def compare_finite_reference(u, v, alphabet):
 
 @pytest.mark.parametrize("letters", ["abc", "cba"])
 def test_compare_finite_matches_letter_scan(letters):
-    alphabet = Alphabet(letters)
+    """Under the letter order `letters`: each pair is relabelled by the map
+    that takes `letters` onto abc, so the relabelled pair compares under
+    the one letter order as the drawn pair does under `letters`."""
+    relabel = str.maketrans(letters, "abc")
     rng = random.Random(17)
     for _ in range(3000):
         u = random_finite_word(rng, rng.choice([8, 40, 300]), "abc")
@@ -220,8 +225,9 @@ def test_compare_finite_matches_letter_scan(letters):
             v = random_finite_word(rng, 40, "abc")
         if rng.random() < 0.5:
             u, v = v, u
-        out = _compare_finite(u, v, alphabet)
-        assert (out.rel, out.position, out.letters) == compare_finite_reference(u, v, alphabet)
+        u, v = u.translate(relabel), v.translate(relabel)
+        out = _compare_finite(u, v)
+        assert (out.rel, out.position, out.letters) == compare_finite_reference(u, v)
 
 
 @settings(deadline=None, max_examples=60)
@@ -541,7 +547,7 @@ def test_closure_spans_are_the_sets_in_the_factorizer(monkeypatch):
     compile_expr.cache_clear()
 
 
-def reference_marking(auto, alphabet=DEFAULT_ALPHABET):
+def reference_marking(auto):
     """The marking loop as written before a candidate's run took one
     sync_step call: one reference_step per iteration, the n^3 budget checked
     before each step, and the log kept step by step.  Returns the state and
@@ -576,7 +582,7 @@ def reference_marking(auto, alphabet=DEFAULT_ALPHABET):
         else:
             k = history.last_pair[0]
             if isinstance(outcome, runner.Diverged) and \
-                    alphabet.rank(outcome.left_letter) > alphabet.rank(outcome.right_letter):
+                    outcome.left_letter > outcome.right_letter:
                 _, target = auto.succ[k]
                 if target not in seen_left:
                     case = "2a"
@@ -693,11 +699,11 @@ def test_transfinite_compare_agrees_with_the_product_run(monkeypatch):
     product = compare_via_automata
     calls = []
 
-    def counted(x, y, alphabet):
+    def counted(x, y):
         # only words that agree on their first w letters reach the product run
         assert first_letters(x, 100) == first_letters(y, 100)
         calls.append(x)
-        return product(x, y, alphabet)
+        return product(x, y)
 
     monkeypatch.setattr(order, "compare_via_automata", counted)
     pairs = [(parse_expr("b((bb)^w)^w(abbb)^w"), parse_expr("(b(bb)^w)^wa"))]

@@ -21,13 +21,14 @@ from ratword import (
     power,
     word_equal,
 )
-from ratword.expr import (Alphabet, Concat, DEFAULT_ALPHABET, Letter, RatExpr, as_finite_word,
-                          expr_length)
+from ratword.expr import Concat, Letter, RatExpr, as_finite_word, expr_length
 from ratword.ordinal import ONE, OMEGA, Ordinal
 import ratword.order as order
 import ratword.structural as structural
 from ratword.structural import StructuralError
-from ratword.gen import random_expr, random_finite_word
+from ratword.gen import random_expr
+
+from helpers import random_finite_word
 
 E = parse_expr
 
@@ -137,16 +138,20 @@ def test_matches_duval_on_finite_words():
         assert flat == duval_factorize(word)
 
 
-@pytest.mark.parametrize("letters", [None, "cba"], ids=["default", "cba"])
-def test_matches_duval_on_long_finite_words(letters):
-    alphabet = DEFAULT_ALPHABET if letters is None else Alphabet(letters)
+@pytest.mark.parametrize("order", ["abc", "cba"], ids=["default", "cba"])
+def test_matches_duval_on_long_finite_words(order):
+    """Each word is relabelled by the map that takes `order` onto abc, so
+    the relabelled words compare under the one letter order as the drawn
+    words do under `order`."""
+    relabel = str.maketrans(order, "abc")
     rng = random.Random(29)
     for _ in range(6):
         word = "".join(rng.choice("abc") for _ in range(rng.randint(800, 1600)))
+        word = word.translate(relabel)
         flat = []
-        for p, a in factorize_structural(E(word), alphabet).blocks:
+        for p, a in factorize_structural(E(word)).blocks:
             flat.extend([format_expr(p)] * a.to_int())
-        assert flat == duval_factorize(word, alphabet)
+        assert flat == duval_factorize(word)
 
 
 def test_blocks_strictly_decreasing():
@@ -218,7 +223,7 @@ def test_primes_are_expressions(seed, finite):
 def test_fact_omega_rejects_a_rotation_above_its_pivot(monkeypatch):
     """fact_omega checks circular_fact's postcondition, v <=lex the k-th
     prime, with the one compare it also reads the equal case from."""
-    monkeypatch.setattr(structural, "circular_fact", lambda blocks, alphabet: (1, "c", ONE))
+    monkeypatch.setattr(structural, "circular_fact", lambda blocks: (1, "c", ONE))
     with pytest.raises(StructuralError, match="exceeds its pivot"):
         fact_omega([("b", Ordinal.from_int(2)), ("a", ONE)])
 
