@@ -170,15 +170,20 @@ class SharpAutomaton:
     shared, with state j redirected (`jump`) to the added edge (`back`)."""
 
     def __init__(self, base: SingleWordAutomaton, i: int, j: int):
+        self.base = base
+        self.n = base.n
+        self.table = base.table
+        self.retarget(i, j)
+
+    def retarget(self, i: int, j: int) -> None:
+        """Make this the sharp on [i, j] of the same base, in place.  A
+        refused range leaves it as it was."""
+        base = self.base
         if not 0 <= i < j <= base.n:
             raise AutomatonError(f"bad state range [{i}, {j}]")
         if base.in_loop[i]:
             raise AutomatonError(f"state {i} lies inside a loop")
-        self.base = base
-        self.i = i
-        self.initial = i
-        self.n = base.n
-        self.table = base.table
+        self.i = self.initial = i
         self.jump = j
         self.back = (base.succ[i][0], i + 1)     # the added j -a-> i+1
 

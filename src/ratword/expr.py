@@ -5,6 +5,7 @@ is performed beyond flattening nested concatenations)."""
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from operator import attrgetter
 from typing import Callable
@@ -19,6 +20,7 @@ class ExprError(ValueError):
 # The letters an expression may be written with.  Letters compare as Python
 # strings, so their order is the order of this string.
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_LETTER_RUN = re.compile(f"[{LETTERS}]+")
 
 
 class RatExpr:
@@ -205,7 +207,8 @@ def format_expr(e: RatExpr) -> str:
 
 def parse_expr(text: str) -> RatExpr:
     """Parse the surface grammar: juxtaposition concatenates, ^w (or ^ω) is
-    w-power, parentheses group.  Iterative, so any nesting depth parses."""
+    w-power, parentheses group.  Iterative, so any nesting depth parses; a
+    run of letters is read with one match of `_LETTER_RUN`."""
     s = text.replace("ω", "w")
     end = len(s)
     pos = 0
@@ -230,6 +233,12 @@ def parse_expr(text: str) -> RatExpr:
             atom = concat(parts)
             parts = outer.pop()
         elif s[pos] in LETTERS:
+            if pos + 1 < end and s[pos + 1] in LETTERS:
+                # a run of letters: all but the last are parts as they
+                # stand, and the last may carry ^w
+                last = _LETTER_RUN.match(s, pos).end() - 1
+                parts += map(Letter, s[pos:last])
+                pos = last
             atom = Letter(s[pos])
             pos += 1
         else:

@@ -10,8 +10,11 @@ up in q_main, boundaries between copies of one prime in q_secondary.
 
 The equal-letter steps (1a, and the loop closures 1b/1c) of one candidate
 are one product run: a single `sync_step` call per candidate, the start
-and each 2a/2b/3 restart, runs them to the step that decides.  With
-keep_log the records of those steps are rebuilt from the finished trace."""
+and each 2a/2b/3 restart, runs them to the step that decides.  One trace
+and one sharp serve every candidate of an input: a restart resets the
+trace and retargets the sharp in place, since a finite word makes about
+one candidate per letter and most runs are a step or two.  With keep_log
+the records of those steps are rebuilt from the finished trace."""
 
 from __future__ import annotations
 
@@ -87,9 +90,10 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
     _, j = auto.succ[0]
     seen_left = {0, j}  # states visited by the main run since i
     case = "init"
+    history = Trace((j, i))
+    lefts = history._lefts
+    sharp = SharpAutomaton(auto, i, j)
     while True:
-        history = Trace((j, i))
-        sharp = SharpAutomaton(auto, i, j)
         if keep_log:
             log.append(StepRecord(case, tuple(history.pairs())))
         outcome = sync_step(auto, sharp, history)
@@ -97,15 +101,15 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
         # step read the stop.  Every letter adds a new pair, so every run
         # ends, and a budget checked after each run refuses the same inputs
         # as one checked before each step.
-        steps += len(history)
+        steps += len(lefts)
         if steps > budget:
             raise FactorizeError(f"exceeded step budget n^3 = {budget}")
-        seen_left.update(history._lefts)
+        seen_left.update(lefts)
         if keep_log:
             log += _run_records(history, j)
         if isinstance(outcome, RightEnded):
             raise FactorizeError("sharp automaton has no final state; cannot end")
-        k = history.last_pair[0]
+        k = lefts[-1]
         if isinstance(outcome, Diverged) and outcome.left_letter > outcome.right_letter:
             # the suffix at j is larger: extend the candidate prefix past k.
             # The check is against the whole main run since i: a revisited
@@ -119,22 +123,24 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
                 case = "2b"
                 j = max(seen_left) + 1
             seen_left.add(j)
-            continue
-        # smaller letter (or end of word): close the block of copies of the
-        # prime cut at j
-        added = history.lefts_paired_with(j)
-        added.add(j)
-        top = max(added)
-        q_secondary |= added - {top}
-        q_main.add(top)
-        i = top
-        if keep_log:
-            log.append(StepRecord("3", tuple(history.pairs())))
-        if i == n:
-            break
-        _, j = auto.succ[i]
-        seen_left = {i, j}
-        case = "init"
+        else:
+            # smaller letter (or end of word): close the block of copies of
+            # the prime cut at j
+            added = history.lefts_paired_with(j)
+            added.add(j)
+            top = max(added)
+            q_secondary |= added - {top}
+            q_main.add(top)
+            i = top
+            if keep_log:
+                log.append(StepRecord("3", tuple(history.pairs())))
+            if i == n:
+                break
+            _, j = auto.succ[i]
+            seen_left = {i, j}
+            case = "init"
+        history.reset((j, i))
+        sharp.retarget(i, j)
 
     return FactorizerState(auto, q_main, q_secondary, steps, log)
 

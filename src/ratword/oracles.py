@@ -72,7 +72,8 @@ def prime_witness(e: RatExpr) -> tuple | None:
     suffix) for the first state q whose suffix is smaller than e.
 
     Each suffix is compared with e by one run of the automaton against
-    itself from (0, q); only the witness's suffix is written out."""
+    itself from (0, q), all on one trace reset at each q; only the witness's
+    suffix is written out."""
     word = as_finite_word(e)
     if word is not None and is_prime_finite(word):
         return None
@@ -80,8 +81,10 @@ def prime_witness(e: RatExpr) -> tuple | None:
     if alpha != ONE:
         return ("root", root, alpha)
     auto = compile_expr(e)
+    trace = Trace((0, 0))
     for q in range(1, auto.n):
-        stop = sync_step(auto, auto, Trace((0, q)))
+        trace.reset((0, q))
+        stop = sync_step(auto, auto, trace)
         if isinstance(stop, BothEnded) or \
                 isinstance(stop, Diverged) and stop.left_letter < stop.right_letter:
             continue

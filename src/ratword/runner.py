@@ -85,12 +85,19 @@ class Trace:
         self._cascades: list[tuple[int, ...]] = [()]
         self._limit_pos: list[Ordinal] = [ZERO]          # of the first limit entries
 
+    def reset(self, first: tuple[int, int]) -> None:
+        """Start the trace over from the pair `first`, in place, holding
+        what a new Trace(first) holds: no position derived on the earlier
+        run is kept.  The first entry is a limit entry with an empty cascade
+        at position 0 in every trace, so each list keeps its first item."""
+        del self._lefts[1:], self._rights[1:]
+        self._lefts[0], self._rights[0] = first
+        self._index.clear()
+        self._index[first] = 0
+        del self._limit_at[1:], self._cascades[1:], self._limit_pos[1:]
+
     def __len__(self) -> int:
         return len(self._lefts)
-
-    @property
-    def last_pair(self) -> tuple[int, int]:
-        return self._lefts[-1], self._rights[-1]
 
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self._lefts, self._rights))

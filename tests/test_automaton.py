@@ -125,11 +125,21 @@ def test_validate_nested_or_disjoint_limits(limits):
 def test_sharp_range_checks():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
     assert word_equal(expr_of_range(auto, 0, 4), parse_expr("aa^wb"))
-    with pytest.raises(AutomatonError):
-        SharpAutomaton(auto, 6, 9)  # 6 lies inside a loop
-    for i, j in [(4, 4), (5, 4), (-1, 4), (0, 13)]:
-        with pytest.raises(AutomatonError):
+    refused = [((6, 9), "state 6 lies inside a loop")]
+    refused += [((i, j), f"bad state range [{i}, {j}]")
+                for i, j in [(4, 4), (5, 4), (-1, 4), (0, 13)]]
+    sharp = SharpAutomaton(auto, 0, 4)
+    for (i, j), message in refused:
+        with pytest.raises(AutomatonError, match=re.escape(message)):
             SharpAutomaton(auto, i, j)
+        # retarget makes the same checks, and a refused one changes nothing
+        with pytest.raises(AutomatonError, match=re.escape(message)):
+            sharp.retarget(i, j)
+        assert (sharp.i, sharp.initial, sharp.jump, sharp.back) == (0, 0, 4, ("a", 1))
+    sharp.retarget(4, 12)
+    fresh = SharpAutomaton(auto, 4, 12)
+    assert (sharp.i, sharp.initial, sharp.jump, sharp.back, sharp.table) == \
+        (fresh.i, fresh.initial, fresh.jump, fresh.back, fresh.table)
 
 
 def test_sharp_shape():

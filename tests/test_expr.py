@@ -1,12 +1,13 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
-from ratword.expr import (Concat, ExprError, Letter, Omega, as_finite_word, concat,
+from ratword.expr import (LETTERS, Concat, ExprError, Letter, Omega, as_finite_word, concat,
                           expr_length, first_letters, format_expr, letter_at, omega_prefix,
                           parse_expr, power, prefix_to, suffix_from, word_expr)
 from ratword.gen import random_expr
@@ -35,6 +36,87 @@ def test_parse_errors():
             parse_expr(text)
     with pytest.raises(ExprError, match=r"^'A': unexpected character 'A' at position 0$"):
         parse_expr("A")
+
+
+def reference_parse_expr(text):
+    """parse_expr as written before it read a run of letters in one scan:
+    one letter per turn of the loop."""
+    def error(msg, pos):
+        return ExprError(f"{text!r}: {msg} at position {pos}")
+
+    s = text.replace("ω", "w")
+    end = len(s)
+    pos = 0
+    parts, outer = [], []
+    while True:
+        while pos < end and s[pos].isspace():
+            pos += 1
+        if pos < end and s[pos] == "(":
+            pos += 1
+            outer.append(parts)
+            parts = []
+            continue
+        if pos == end or s[pos] == ")":
+            if not parts:
+                raise error("empty group" if outer else "empty expression", pos)
+            if not outer:
+                break
+            if pos == end:
+                raise error("unclosed parenthesis", pos)
+            pos += 1
+            atom = concat(parts)
+            parts = outer.pop()
+        elif s[pos] in LETTERS:
+            atom = Letter(s[pos])
+            pos += 1
+        else:
+            raise error(f"unexpected character {s[pos]!r}", pos)
+        while pos < end and s[pos].isspace():
+            pos += 1
+        if pos < end and s[pos] == "^":
+            pos += 1
+            while pos < end and s[pos].isspace():
+                pos += 1
+            if pos == end or s[pos] != "w":
+                raise error("expected w after ^", pos)
+            pos += 1
+            atom = Omega(atom)
+        parts.append(atom)
+    if pos != end:
+        raise error(f"trailing input {s[pos]!r}", pos)
+    return concat(parts)
+
+
+def parse_result(parse, text):
+    """The repr of what parse makes of text, or the text of its ExprError."""
+    try:
+        return repr(parse(text))
+    except ExprError as err:
+        return f"ExprError: {err}"
+
+
+@settings(max_examples=1000)
+@given(st.text("ab()^wω #A", max_size=14))
+def test_parse_matches_the_letter_by_letter_parser(text):
+    assert parse_result(parse_expr, text) == parse_result(reference_parse_expr, text)
+
+
+def test_parse_letter_runs_examples():
+    """A run of letters is read in one scan; the last letter alone may carry
+    ^w, and errors name the same position as the letter-by-letter parser."""
+    assert parse_expr("a b ^ w") == concat([Letter("a"), Omega(Letter("b"))])
+    assert parse_expr("abc^w") == concat([Letter("a"), Letter("b"), Omega(Letter("c"))])
+    for text, message in [("ab)", "trailing input ')' at position 2"),
+                          ("ab^", "expected w after ^ at position 3"),
+                          ("abA", "unexpected character 'A' at position 2")]:
+        with pytest.raises(ExprError, match=re.escape(f"{text!r}: {message}")):
+            parse_expr(text)
+    rng = random.Random(101)
+    words = ["".join(rng.choice("abc") for _ in range(n)) for n in (100, 200, 400, 800, 1600)]
+    words += ["a" + "b" * 1600, "ab" * 800, words[-1] + "^w", f"({words[-1]})^w{words[0]}"]
+    for text in words:
+        assert parse_result(parse_expr, text) == parse_result(reference_parse_expr, text)
+    assert format_expr(parse_expr(words[-1])) == words[-1]
 
 
 def test_w_is_a_plain_letter_outside_powers():

@@ -396,6 +396,32 @@ def test_cascading_closure_positions():
     assert out.rel is Rel.RIGHT_PREFIX and out.position == parse_ordinal("w^2+1")
 
 
+def test_reset_trace_reruns_as_a_fresh_one():
+    """A trace that closed a cascade and derived its positions, reset and
+    run again from another pair, holds what a fresh trace holds, positions
+    included: none is read from the earlier run."""
+    cascade = compile_expr(parse_expr("b((bb)^w)^w(abbb)^w")), \
+        compile_expr(parse_expr("(b(bb)^w)^wa"))
+    twice = compile_expr(parse_expr("a^wa^wb"))
+    nest = compile_expr(parse_expr("((ab)^wb)^wa"))
+    runs = [(cascade, (0, 0)), (cascade, (1, 1)), ((twice, twice), (0, 0)),
+            (cascade, (2, 3)), ((nest, nest), (2, 0)), ((nest, nest), (5, 0)),
+            ((twice, twice), (1, 1))]
+    trace, cascaded = Trace((0, 0)), 0
+    for (left, right), first in runs:
+        trace.reset(first)
+        fresh = Trace(first)
+        assert stop_fields(sync_step(left, right, trace)) == \
+            stop_fields(sync_step(left, right, fresh))
+        for name in TRACE_FIELDS:
+            assert getattr(trace, name) == getattr(fresh, name), name
+        assert [trace.position(i) for i in range(len(trace))] == \
+            [fresh.position(i) for i in range(len(fresh))]
+        assert trace._limit_pos == fresh._limit_pos
+        cascaded += max(map(len, trace._cascades)) > 1
+    assert cascaded == 2 and trace._limit_at == [0, 1, 3]
+
+
 class SetTrace:
     """The trace of a product run as kept with sets: a limit entry carries
     the component states its closures collapsed as two sets, and a closure
@@ -469,7 +495,7 @@ class RunsAgainstReference:
 
     def __call__(self, left, right, trace):
         assert len(trace) == 1        # one call per run, on a fresh trace
-        first = trace.last_pair
+        first = trace.pairs()[0]
         out = sync_step(left, right, trace)
         reference, shadow = ReferenceTrace(first), SetTrace(first)
         assert stop_fields(out) == stop_fields(reference_run(left, right, reference))
@@ -550,8 +576,9 @@ def test_closure_spans_are_the_sets_in_the_factorizer(monkeypatch):
 def reference_marking(auto):
     """The marking loop as written before a candidate's run took one
     sync_step call: one reference_step per iteration, the n^3 budget checked
-    before each step, and the log kept step by step.  Returns the state and
-    the number of steps that closed more than one loop."""
+    before each step, the log kept step by step, and a fresh trace and sharp
+    built for every candidate.  Returns the state and the number of steps
+    that closed more than one loop."""
     n = auto.n
     q_main, q_secondary = {0}, set()
     log = []
@@ -580,7 +607,7 @@ def reference_marking(auto):
         elif isinstance(outcome, RightEnded):
             raise FactorizeError("sharp automaton has no final state; cannot end")
         else:
-            k = history.last_pair[0]
+            k = history._lefts[-1]
             if isinstance(outcome, runner.Diverged) and \
                     outcome.left_letter > outcome.right_letter:
                 _, target = auto.succ[k]
@@ -617,10 +644,13 @@ def reference_marking(auto):
 
 def marking_automata():
     """The automata of tau(e) for 1,200 random_expr draws, for towers of
-    depth 4-9 in three shapes and for the worked examples; then the
-    automata of two words as written, not duplicated, on which the
-    candidate run closes two loops in one step (found among 40,000 draws:
-    no marking run on a duplicated draw did)."""
+    depth 4-9 in three shapes and for the worked examples; for 40 random
+    abc words of 100-400 letters, ab^300 and (ab)^150, whose many
+    candidates run on one reused trace and sharp, as the benchmark's
+    finite words do; for two words that restart with 2b 18 and 31 times;
+    then the automata of two words as written, not duplicated, on which
+    the candidate run closes two loops in one step (found among 40,000
+    draws: no marking run on a duplicated draw did)."""
     rng = random.Random(31)
     inputs = [random_expr(rng, max_size=12, max_depth=3, letters="abc") for _ in range(1200)]
     for depth in range(4, 10):
@@ -633,16 +663,20 @@ def marking_automata():
         "(a^wb)^wa^w", "(bba)^w", "abaab", "(((ac)^wb)^wc)^wa", "(((ac)^wa)^wb)^wc",
         "b((bb)^w)^w(abbb)^w", "(b(bb)^w)^wa", "((aaa)^wa)^w", "a(a^w)^wab^w",
         "(b(bbb)^wb)^w", "bb(b^w)^w(abbb)^w"]]
+    inputs += [parse_expr("".join(rng.choice("abc") for _ in range(rng.randint(100, 400))))
+               for _ in range(40)]
+    inputs += [parse_expr(text) for text in [
+        "a" + "b" * 300, "ab" * 150, "b" + "(c^w)^w" * 6, "a^wb((((c^w)^w)^w)^w)^w"]]
     autos = [compile_expr(tau(e)) for e in inputs]
     return autos + [compile_expr(parse_expr(text)) for text in
                     ["(((aa)^wbaaa)^w)^w", "((aa(aa)^w)^wabaaaaba)^w"]]
 
 
 def test_marking_matches_the_step_by_step_loop():
-    """factorize_states, one sync_step call per candidate with the log
-    rebuilt from each finished trace, gives the step-by-step loop's steps,
-    marked states and log records on every automaton, with and without the
-    log."""
+    """factorize_states, one sync_step call per candidate on one trace and
+    sharp reset at each restart, with the log rebuilt from each finished
+    trace, gives the step-by-step loop's steps, marked states and log
+    records on every automaton, with and without the log."""
     cases = Counter()
     cascaded = 0
     for auto in marking_automata():
