@@ -138,18 +138,20 @@ _set_omega_prefix = Omega._omega_prefix.__set__
 
 
 def concat(parts) -> RatExpr:
-    """Concatenation that flattens nested Concat nodes; one part passes through."""
-    flat: list[RatExpr] = []
-    for p in parts:
-        if isinstance(p, Concat):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        raise ExprError("empty concatenation")
-    if len(flat) == 1:
-        return flat[0]
-    return Concat(tuple(flat))
+    """Concatenation that flattens nested Concat nodes; one part passes through.
+    The parts are flat once flattened, so the node is built past Concat's
+    check of them."""
+    parts = tuple(parts)
+    if Concat in map(type, parts):
+        parts = tuple(q for p in parts for q in (p.parts if type(p) is Concat else (p,)))
+    if len(parts) < 2:
+        if not parts:
+            raise ExprError("empty concatenation")
+        return parts[0]
+    node = object.__new__(Concat)
+    _set_parts(node, parts)
+    _set_hash(node, hash((parts,)))
+    return node
 
 
 # -- walks ------------------------------------------------------------------

@@ -15,9 +15,11 @@ first w letters and are not equal expressions run the synchronized product
 of their compiled automata; the trace position at divergence is the ordinal
 position of the first differing letter.
 
-The structural engine makes up to two compares per letter of a finite word,
-so a string compare allocates little beyond the string work: one outcome
-tuple and one Ordinal, and none for equal words, which share one outcome."""
+The structural engine merges two finite primes by Python's str order, which
+is the order this module gives finite words, and calls `compare` for every
+other pair.  A string compare allocates little beyond the string work: one
+outcome tuple and one Ordinal, and none for equal words, which share one
+outcome."""
 
 from __future__ import annotations
 

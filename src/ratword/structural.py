@@ -11,12 +11,13 @@ in `runner`, as the marking algorithm's steps do.
 
 Inside `factorize_structural` a prime is a plain str exactly when it has no
 w-power: every letter enters as its symbol, and u^a v^b with two str primes
-and finite a and b is the str u*a + v*b, so merging finite primes is string
-work.  A str becomes an expression only where a merge meets a transfinite
-exponent or operand, and at the end, where every prime returned is a shared
-Letter, a flat Concat of them, or a transfinite expression.  The helpers
-below take primes in either form; given expressions only, they return
-expressions only."""
+and finite a and b is the str u*a + v*b.  Two str primes merge by Python's
+str order, which is `compare`'s order on finite words, so merging finite
+primes is string work that calls no `compare`.  A str becomes an
+expression only where a merge meets a transfinite exponent or operand, and
+at the end, where every prime returned is a shared Letter, a flat Concat of
+them, or a transfinite expression.  The helpers below take primes in either
+form; given expressions only, they return expressions only."""
 
 from __future__ import annotations
 
@@ -40,8 +41,7 @@ def _expr(p: Prime) -> RatExpr:
 def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
               out: CompareOutcome | None = None) -> tuple[Prime, Ordinal]:
     """Combine u^alpha v^beta (u, v prime, u <=lex v) into a single prime power.
-    `out` is compare(u, v) when the caller already has it.  Two str primes
-    with finite exponents give a str."""
+    `out` is compare(u, v) when the caller already has it."""
     if out is None:
         out = compare(u, v)
     if out.is_equal:
@@ -49,11 +49,6 @@ def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
     if not out.left_lt:
         raise StructuralError(
             f"concat_pp needs {format_expr(_expr(u))} <=lex {format_expr(_expr(v))}")
-    if type(u) is str and type(v) is str:
-        # exponents are >= 1; one is finite when its leading term is w^0 * c
-        (ea, ca), (eb, cb) = alpha.terms[0], beta.terms[0]
-        if ea == eb == 0:
-            return u * ca + v * cb, ONE
     u, v = _expr(u), _expr(v)
     # u^alpha is absorbed by v when u^alpha v = v: the result is v^beta.  A
     # finite v never absorbs, since |u^alpha v| > |v|.
@@ -62,19 +57,38 @@ def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
     return concat([power(u, alpha), power(v, beta)]), ONE
 
 
+def _merge(x: tuple[Prime, Ordinal], y: tuple[Prime, Ordinal]) -> tuple[Prime, Ordinal] | None:
+    """The prime powers x y as one block, or None when x's prime is greater
+    than y's.  Two str primes go by str order, which is compare's order on
+    finite words, and give a str when both exponents are finite; every
+    other pair goes through compare and concat_pp."""
+    (u, alpha), (v, beta) = x, y
+    if type(u) is str and type(v) is str:
+        if u > v:
+            return None
+        if u == v:
+            return v, alpha + beta
+        # exponents are >= 1; one is finite when its leading term is w^0 * c
+        (ea, ca), (eb, cb) = alpha.terms[0], beta.terms[0]
+        if ea == eb == 0:
+            return u * ca + v * cb, ONE
+    out = compare(u, v)
+    return concat_pp(u, alpha, v, beta, out) if out.left_le else None
+
+
 def fact_product(left: list[tuple[Prime, Ordinal]],
                  right: list[tuple[Prime, Ordinal]]) -> list[tuple[Prime, Ordinal]]:
     """Factorization of a product from factorizations of the parts; only
     boundary blocks can merge, repeatedly."""
     blocks = list(left)
-    for v, beta in right:
+    for block in right:
         while blocks:
-            out = compare(blocks[-1][0], v)
-            if not out.left_le:
+            merged = _merge(blocks[-1], block)
+            if merged is None:
                 break
-            u, alpha = blocks.pop()
-            v, beta = concat_pp(u, alpha, v, beta, out)
-        blocks.append((v, beta))
+            blocks.pop()
+            block = merged
+        blocks.append(block)
     return blocks
 
 
@@ -90,8 +104,7 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]]) -> tuple[int, Prime, Ordi
     if n == 0:
         raise StructuralError("no blocks to rotate")
     # carry original 1-based start positions so k can be recovered at the end
-    ring: list[tuple[int, Prime, Ordinal]] = [
-        (idx + 1, p, a) for idx, (p, a) in enumerate(blocks)]
+    ring: list[tuple[int, tuple[Prime, Ordinal]]] = list(enumerate(blocks, 1))
     guard = n * n + n + 1
     while len(ring) > 1:
         guard -= 1
@@ -99,20 +112,18 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]]) -> tuple[int, Prime, Ordi
             raise StructuralError("rotation failed to converge")
         for pos in range(len(ring)):
             nxt = (pos + 1) % len(ring)
-            s1, u, alpha = ring[pos]
-            _, v, beta = ring[nxt]
-            out = compare(u, v)
-            if out.left_le:
-                w, gamma = concat_pp(u, alpha, v, beta, out)
+            start, x = ring[pos]
+            merged = _merge(x, ring[nxt][1])
+            if merged is not None:
                 if nxt == 0:
                     # merged across the wrap: the merged block now leads
-                    ring = [(s1, w, gamma)] + ring[1:pos]
+                    ring = [(start, merged)] + ring[1:pos]
                 else:
-                    ring[pos:nxt + 1] = [(s1, w, gamma)]
+                    ring[pos:nxt + 1] = [(start, merged)]
                 break
         else:
             raise StructuralError("strictly decreasing cycle is impossible")
-    start, v, beta = ring[0]
+    start, (v, beta) = ring[0]
     return (start - 1 if start > 1 else n), v, beta
 
 

@@ -131,6 +131,25 @@ def test_concat_flattens():
         concat([])
 
 
+def test_concat_builds_what_the_constructor_builds():
+    """concat builds its node past Concat's check of the parts: the node is
+    the one Concat(...) builds on the flattened parts.  A direct Concat(...)
+    call still refuses parts that are not flat, or fewer than two."""
+    a, b, c = Letter("a"), Letter("b"), Letter("c")
+    ab = Concat((a, b))
+    cases = [([ab, c], (a, b, c)), ([c, ab, Omega(ab)], (c, a, b, Omega(ab))),
+             (iter([a, ab]), (a, a, b)), ([a, Omega(b)], (a, Omega(b)))]
+    for parts, flat in cases:
+        e, direct = concat(parts), Concat(flat)
+        assert type(e) is Concat and e.parts == flat
+        assert e == direct and hash(e) == hash(direct) and repr(e) == repr(direct)
+    assert concat([ab]) == ab and concat(iter([c])) is c
+    with pytest.raises(ExprError, match="must be flattened"):
+        Concat((ab, c))
+    with pytest.raises(ExprError, match="at least two parts"):
+        Concat((a,))
+
+
 def test_lengths():
     assert expr_length(parse_expr("abc")) == fin(3)
     assert expr_length(parse_expr("a^w")) == W()

@@ -273,13 +273,14 @@ def finite_words(draw):
 
 @settings(deadline=None, max_examples=120)
 @given(finite_words())
-@example("ba" * 250)  # 996 compares against the bound 998
+@example("ba" * 250)  # 996 merge decisions against the bound 998
 def test_finite_word_costs_at_most_two_compares_per_letter(word):
-    """Cost law on a finite word of n letters: factorize_structural makes at
-    most 2(n - 1) compares and no product run.  Each compare either merges
-    two blocks, at most n - 1 times in all, or stops an incoming block, at
-    most once per block after the first."""
-    calls = {"compare": 0, "compare_via_automata": 0}
+    """Cost law on a finite word of n letters: factorize_structural decides
+    at most 2(n - 1) merges, by str order, and makes no compare and no
+    product run.  Each decision either merges two blocks, at most n - 1
+    times in all, or stops an incoming block, at most once per block after
+    the first."""
+    calls = {"_merge": 0, "compare": 0, "compare_via_automata": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -290,9 +291,120 @@ def test_finite_word_costs_at_most_two_compares_per_letter(word):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structural, "_merge", counting(structural, "_merge"))
         mp.setattr(structural, "compare", counting(structural, "compare"))
         mp.setattr(order, "compare_via_automata", counting(order, "compare_via_automata"))
         blocks = factorize_structural(E(word)).blocks
-    assert calls["compare"] <= 2 * (len(word) - 1)
-    assert calls["compare_via_automata"] == 0
+    assert calls["_merge"] <= 2 * (len(word) - 1)
+    if word == "ba" * 250:
+        assert calls["_merge"] == 996
+    assert calls["compare"] == calls["compare_via_automata"] == 0
     assert "".join(as_finite_word(p) * a.to_int() for p, a in blocks) == word
+
+
+@st.composite
+def str_pairs(draw):
+    """Two non-empty strs over ab, abc or any characters; the second is
+    often the first extended, or a proper prefix of it, or equal to it."""
+    letters = draw(st.sampled_from(["ab", "abc", st.characters()]))
+    words = st.text(letters, min_size=1, max_size=12)
+    u, w = draw(words), draw(words)
+    return draw(st.sampled_from([(u, w), (u, u + w), (u + w, u), (u, u)]))
+
+
+@settings(max_examples=300)
+@given(str_pairs())
+@example(("ab", "abb"))
+@example(("abb", "ab"))
+@example(("b", "ab"))
+def test_str_order_is_compares_order_on_finite_words(pair):
+    """Merges of two str primes go by Python's str order in place of
+    compare; the two agree on every pair, proper prefixes included."""
+    u, v = pair
+    out = compare(u, v)
+    assert (u <= v, u == v, u < v) == (out.left_le, out.is_equal, out.left_lt)
+
+
+# References: fact_product and circular_fact as they were while every merge
+# decision called compare, and concat_pp with its str branch.
+
+def reference_concat_pp(u, alpha, v, beta, out):
+    if out.left_lt and type(u) is str and type(v) is str:
+        (ea, ca), (eb, cb) = alpha.terms[0], beta.terms[0]
+        if ea == eb == 0:
+            return u * ca + v * cb, ONE
+    return concat_pp(u, alpha, v, beta, out)
+
+
+def reference_fact_product(left, right):
+    blocks = list(left)
+    for v, beta in right:
+        while blocks:
+            out = compare(blocks[-1][0], v)
+            if not out.left_le:
+                break
+            u, alpha = blocks.pop()
+            v, beta = reference_concat_pp(u, alpha, v, beta, out)
+        blocks.append((v, beta))
+    return blocks
+
+
+def reference_circular_fact(blocks):
+    n = len(blocks)
+    ring = [(idx + 1, p, a) for idx, (p, a) in enumerate(blocks)]
+    while len(ring) > 1:
+        for pos in range(len(ring)):
+            nxt = (pos + 1) % len(ring)
+            s1, u, alpha = ring[pos]
+            _, v, beta = ring[nxt]
+            out = compare(u, v)
+            if out.left_le:
+                w, gamma = reference_concat_pp(u, alpha, v, beta, out)
+                if nxt == 0:
+                    ring = [(s1, w, gamma)] + ring[1:pos]
+                else:
+                    ring[pos:nxt + 1] = [(s1, w, gamma)]
+                break
+        else:
+            raise AssertionError("strictly decreasing cycle")
+    start, v, beta = ring[0]
+    return (start - 1 if start > 1 else n), v, beta
+
+
+def assert_matches_the_reference(exprs):
+    """factorize_structural's block reprs equal those it builds with the
+    reference fact_product and circular_fact in place of its own."""
+    exprs = list(exprs)
+    got = [repr(factorize_structural(e).blocks) for e in exprs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structural, "fact_product", reference_fact_product)
+        mp.setattr(structural, "circular_fact", reference_circular_fact)
+        want = [repr(factorize_structural(e).blocks) for e in exprs]
+    for e, g, w in zip(exprs, got, want):
+        assert g == w, format_expr(e)
+
+
+def test_matches_the_compare_based_reference_on_random_expressions():
+    rng = random.Random(18)
+    assert_matches_the_reference(
+        random_expr(rng, max_size=rng.randint(2, 16), max_depth=rng.randint(0, 4),
+                    letters=rng.choice(["ab", "abc", "abcd"]))
+        for _ in range(10_000))
+
+
+def test_matches_the_compare_based_reference_on_long_finite_words():
+    rng = random.Random(181)
+    assert_matches_the_reference(
+        E("".join(rng.choice("abc") for _ in range(rng.randint(100, 1600))))
+        for _ in range(40))
+
+
+def test_matches_the_compare_based_reference_on_periodic_words():
+    rng = random.Random(182)
+    words = [("".join(rng.choice("abc") for _ in range(period)) * n)[:n]
+             for period in range(1, 9) for n in (1, 2, 7, 50, 333) for _ in range(4)]
+    words += ["a" + "b" * n for n in (1, 2, 3, 10, 100, 1000)]
+    words += [text * n for text in ("ab", "ba") for n in (1, 2, 3, 10, 100, 500)]
+    short = [w for w in words if len(w) <= 60]
+    assert_matches_the_reference(
+        [E(w) for w in words] + [E(f"({w})^w") for w in short] + [E(f"a^w{w}") for w in short])
