@@ -63,14 +63,6 @@ class SingleWordAutomaton:
                 raise AutomatonError(f"limit {{{lo}..{hi}}}->{target} does not leave to {hi + 1}")
 
     @cached_property
-    def tokens(self) -> tuple[tuple, ...]:
-        """("letter", a) or ("omega", body_start) for each token: a letter
-        token's transition leads to the next state, a w-token's to the state
-        after its body's start."""
-        return tuple(("letter", a) if target == s + 1 else ("omega", target - 1)
-                     for s, (a, target) in enumerate(self.succ))
-
-    @cached_property
     def in_loop(self) -> bytes:
         """in_loop[s] is nonzero when state s lies in some limit interval."""
         depth = [0] * (self.n + 2)
@@ -257,16 +249,18 @@ def render_tokens(auto: SingleWordAutomaton, mark, omega: str) -> str:
     """The compiled word as text: mark(s) before token s and mark(n) at the
     end, each w-token written as omega, and a body of more than one token
     in parentheses."""
+    # a letter token leads to s + 1, and an w-token s to its body's start
+    # plus one, which is s only for a body of one token
     opens = [0] * auto.n
-    for s, (kind, start) in enumerate(auto.tokens):
-        if kind == "omega" and s - start > 1:
-            opens[start] += 1
+    for s, (_, target) in enumerate(auto.succ):
+        if target < s:
+            opens[target - 1] += 1
     out: list[str] = []
-    for s, (kind, val) in enumerate(auto.tokens):
-        if kind == "letter":
-            out += ("(" * opens[s], mark(s), val)
+    for s, (a, target) in enumerate(auto.succ):
+        if target == s + 1:
+            out += ("(" * opens[s], mark(s), a)
         else:
-            out += (")" if s - val > 1 else "", mark(s), omega)
+            out += (")" if target < s else "", mark(s), omega)
     out.append(mark(auto.n))
     return "".join(out)
 

@@ -28,9 +28,7 @@ def tau(e: RatExpr) -> RatExpr:
             dup, tokens = concat([body, Omega(body)]), 2 * tokens + 1
         else:
             dups, counts = zip(*kids)
-            # a finite word, all of whose parts are letters, is its own tau
-            dup = concat(dups) if Omega in map(type, node.parts) else node
-            tokens = sum(counts)
+            dup, tokens = concat(dups), sum(counts)
         if tokens > TAU_TOKENS:
             raise TokenBudgetError(f"duplicated expression exceeds {TAU_TOKENS} tokens")
         return dup, tokens

@@ -6,7 +6,9 @@ is performed beyond flattening nested concatenations)."""
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+import weakref
+from _weakref import _remove_dead_weakref
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable
 
@@ -25,13 +27,13 @@ _LETTER_RUN = re.compile(f"[{LETTERS}]+")
 
 class RatExpr:
     """Base of the expression nodes: immutable, with slots and no instance
-    __dict__.  A node works out its hash when it is made, from its children's
-    stored hashes (a Letter once per symbol), and equality compares two
-    trees with an explicit stack, so neither recurses.  Each node's
-    `finite_word` is the string it denotes when it contains no w-power, else
-    None; it is worked out on every read and kept nowhere, so equality,
-    hashing and repr ignore it."""
-    __slots__ = ("_hash",)
+    __dict__, and one node per structure: a Letter is shared per symbol, and
+    a Concat or Omega is looked up by its children in a weak table before
+    one is built (hash-consing), so equal expressions are one object, and
+    `==` and `hash` go by identity.  Each node's `finite_word` is the string
+    it denotes when it contains no w-power, else None; it is worked out on
+    every read and kept nowhere."""
+    __slots__ = ("__weakref__",)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -45,28 +47,6 @@ class RatExpr:
 
     def __str__(self) -> str:
         return format_expr(self)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            x, y = pairs.pop()
-            if x is y:
-                continue
-            kind = type(x)
-            if kind is not type(y) or x._hash != y._hash:
-                return False
-            if kind is Omega:
-                pairs.append((x.body, y.body))
-            elif kind is Letter or len(x.parts) != len(y.parts):
-                return False    # two Letters are one node when equal
-            else:
-                pairs += zip(x.parts, y.parts)
-        return True
 
 
 _SHARED: dict[str, Letter] = {}
@@ -82,7 +62,6 @@ class Letter(RatExpr):
         except KeyError:
             node = _SHARED[sym] = object.__new__(cls)
             _set_sym(node, sym)
-            _set_hash(node, hash((sym,)))
             return node
 
     finite_word = property(attrgetter("sym"))
@@ -94,13 +73,12 @@ class Letter(RatExpr):
 class Concat(RatExpr):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[RatExpr, ...]) -> None:
+    def __new__(cls, parts: tuple[RatExpr, ...]) -> Concat:
         if len(parts) < 2:
             raise ExprError("concatenation needs at least two parts")
         if Concat in map(type, parts):
             raise ExprError("concatenation parts must be flattened")
-        _set_parts(self, parts)
-        _set_hash(self, hash((parts,)))
+        return _canonical(_CONCATS, parts, Concat, _set_parts)
 
     @property
     def finite_word(self) -> str | None:
@@ -116,13 +94,11 @@ class Concat(RatExpr):
 class Omega(RatExpr):
     """An w-power.  Its second slot keeps what `omega_prefix` found for it,
     as (u, start, p) for the prefix u[start:] p^w: a memo and not a field,
-    which equality, hashing, repr and pickling ignore."""
+    which repr and pickling ignore.  Every use of the node shares it."""
     __slots__ = ("body", "_omega_prefix")
 
-    def __init__(self, body: RatExpr) -> None:
-        _set_body(self, body)
-        _set_hash(self, hash((body,)))
-        _set_omega_prefix(self, None)
+    def __new__(cls, body: RatExpr) -> Omega:
+        return _canonical(_OMEGAS, body, Omega, _set_body_and_memo)
 
     finite_word = None
 
@@ -132,14 +108,48 @@ class Omega(RatExpr):
 
 # Each fills one slot past the immutability guard; a slot's own setter costs
 # about a quarter of object.__setattr__, and every node is made through them.
-_set_hash, _set_sym = RatExpr._hash.__set__, Letter.sym.__set__
-_set_parts, _set_body = Concat.parts.__set__, Omega.body.__set__
-_set_omega_prefix = Omega._omega_prefix.__set__
+_set_sym, _set_parts = Letter.sym.__set__, Concat.parts.__set__
+_set_body, _set_omega_prefix = Omega.body.__set__, Omega._omega_prefix.__set__
+
+
+def _set_body_and_memo(node: Omega, body: RatExpr) -> None:
+    _set_body(node, body)
+    _set_omega_prefix(node, None)
+
+
+# The live Concat of each parts tuple and Omega of each body, by a weak
+# reference whose callback takes the entry out when the node goes.  Keys
+# hash and compare in C, so each dict call below is atomic, and threads that
+# build one node at once all get the one that entered the table first.
+_CONCATS: dict[tuple[RatExpr, ...], weakref.ref] = {}
+_OMEGAS: dict[RatExpr, weakref.ref] = {}
+
+
+def _forget(table: dict, key, ref: weakref.ref, remove=_remove_dead_weakref) -> None:
+    """A node's callback: take its entry out while the entry's node is dead,
+    so a late callback never evicts a newer node (the atomic removal that
+    weakref.WeakValueDictionary uses).  `remove` is bound here, since
+    callbacks may run at exit, after the module's names are cleared."""
+    remove(table, key)
+
+
+def _canonical(table: dict, key, cls: type, fill: Callable) -> RatExpr:
+    """The live node of cls for key in table, else a new one filled from key."""
+    while True:
+        ref = table.get(key)
+        if ref is None:
+            node = object.__new__(cls)
+            fill(node, key)
+            ref = table.setdefault(key, weakref.ref(node, partial(_forget, table, key)))
+        node = ref()
+        if node is not None:
+            return node
+        _remove_dead_weakref(table, key)    # its callback has yet to run
 
 
 def concat(parts) -> RatExpr:
     """Concatenation that flattens nested Concat nodes; one part passes through.
-    The parts are flat once flattened, so the node is built past Concat's
+    The parts are flat once flattened, so the node is looked up past Concat's
     check of them."""
     parts = tuple(parts)
     if Concat in map(type, parts):
@@ -148,10 +158,7 @@ def concat(parts) -> RatExpr:
         if not parts:
             raise ExprError("empty concatenation")
         return parts[0]
-    node = object.__new__(Concat)
-    _set_parts(node, parts)
-    _set_hash(node, hash((parts,)))
-    return node
+    return _canonical(_CONCATS, parts, Concat, _set_parts)
 
 
 # -- walks ------------------------------------------------------------------
@@ -160,9 +167,9 @@ def fold(e: RatExpr, visit: Callable[[RatExpr, list], object]):
     """visit(e, kids), where kids holds the results of the same fold over
     e's children: a Concat's parts in order, an Omega's body, none for a
     Letter.  Post-order from an explicit stack, so any nesting depth
-    answers; a node shared in e is visited once (by identity), so a shared
-    sub-DAG costs one visit."""
-    done: dict[int, object] = {}
+    answers; each node is visited once (equal subexpressions are one node),
+    so a shared sub-DAG costs one visit."""
+    done: dict[RatExpr, object] = {}
     result = done.__getitem__
     stack: list = [e]
     while stack:
@@ -171,10 +178,10 @@ def fold(e: RatExpr, visit: Callable[[RatExpr, list], object]):
         if kind is tuple:
             # (node, kids) lies under node's children, which are done by now
             node, kids = node
-            done[id(node)] = visit(node, [*map(result, map(id, kids))])
-        elif id(node) not in done:
+            done[node] = visit(node, [*map(result, kids)])
+        elif node not in done:
             if kind is Letter:
-                done[id(node)] = visit(node, [])
+                done[node] = visit(node, [])
             else:
                 kids = node.parts if kind is Concat else (node.body,)
                 stack.append((node, kids))
@@ -182,9 +189,9 @@ def fold(e: RatExpr, visit: Callable[[RatExpr, list], object]):
                     # a Letter is visited here, once, rather than stacked
                     if type(kid) is not Letter:
                         stack.append(kid)
-                    elif id(kid) not in done:
-                        done[id(kid)] = visit(kid, [])
-    return done[id(e)]
+                    elif kid not in done:
+                        done[kid] = visit(kid, [])
+    return done[e]
 
 
 def format_expr(e: RatExpr) -> str:
@@ -297,10 +304,10 @@ def split_at(e: RatExpr, gamma: Ordinal) -> tuple[list[RatExpr], list[RatExpr]]:
     0 <= gamma <= |e|: read down the one part that the cut falls inside,
     where at each level the parts before that part join the prefix and the
     parts after it the suffix.  One fold of e gives every length read."""
-    lengths: dict[int, Ordinal] = {}
+    lengths: dict[RatExpr, Ordinal] = {}
 
     def measure(node: RatExpr, kids: list[Ordinal]) -> Ordinal:
-        lengths[id(node)] = length = _length(node, kids)
+        lengths[node] = length = _length(node, kids)
         return length
 
     length = fold(e, measure)
@@ -314,7 +321,7 @@ def split_at(e: RatExpr, gamma: Ordinal) -> tuple[list[RatExpr], list[RatExpr]]:
         if type(e) is Omega:
             # u^w = u^q (suffix of u) u^w, so the cut falls inside a copy of
             # u, or before the copies that follow the first q
-            q, gamma = div_left(gamma, lengths[id(e.body)])
+            q, gamma = div_left(gamma, lengths[e.body])
             if not q.is_zero:
                 before.append(power(e.body, q))
             if not gamma.is_zero:
@@ -322,8 +329,8 @@ def split_at(e: RatExpr, gamma: Ordinal) -> tuple[list[RatExpr], list[RatExpr]]:
                 e = e.body
         else:
             parts, idx = e.parts, 0
-            while lengths[id(parts[idx])] <= gamma:
-                gamma = sub_left(lengths[id(parts[idx])], gamma)
+            while lengths[parts[idx]] <= gamma:
+                gamma = sub_left(lengths[parts[idx]], gamma)
                 idx += 1
             before += parts[:idx]
             tails.append(parts[idx + 1:])

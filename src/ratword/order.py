@@ -11,9 +11,10 @@ u2 p2^w (`expr.omega_prefix`).  By Fine and Wilf's theorem two such words
 that differ at all differ within max(|u1|, |u2|) + |p1| + |p2| letters, so
 a string compare of that many letters finds the first difference of any two
 words whose first w letters differ.  Only two words that agree on their
-first w letters and are not equal expressions run the synchronized product
-of their compiled automata; the trace position at divergence is the ordinal
-position of the first differing letter.
+first w letters and are not one node (equal expressions are one node, see
+`expr.RatExpr`) run the synchronized product of their compiled automata;
+the trace position at divergence is the ordinal position of the first
+differing letter.
 
 The structural engine merges two finite primes by Python's str order, which
 is the order this module gives finite words, and calls `compare` for every
@@ -128,8 +129,6 @@ def compare(x: RatExpr | str, y: RatExpr | str) -> CompareOutcome:
     u, v = (u1 + p1 * (n // len(p1) + 1))[:n], (u2 + p2 * (n // len(p2) + 1))[:n]
     if u != v:
         return _compare_finite(u, v)
-    if x == y:
-        return _EQUAL_OUTCOME
     return compare_via_automata(x, y)
 
 

@@ -6,8 +6,8 @@ factorized by rotating its body's prime powers until one prime covers the
 whole cycle.  It never runs the marking algorithm, which it cross-checks.
 A compare of two transfinite primes reads their w-prefixes, which every
 w-power keeps once found; only primes that agree on their first w letters
-and are not equal expressions run the product of their compiled automata
-in `runner`, as the marking algorithm's steps do.
+and are not one node run the product of their compiled automata in
+`runner`, as the marking algorithm's steps do.
 
 Inside `factorize_structural` a prime is a plain str exactly when it has no
 w-power: every letter enters as its symbol, and u^a v^b with two str primes

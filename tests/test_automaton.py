@@ -346,7 +346,9 @@ def test_expr_of_range_matches_a_letter_by_letter_rebuild(seed):
     for x in (e, tau(e)):
         auto = compile_expr(x)
         tokens = _reference_tokens(x)
-        assert list(auto.tokens) == tokens
+        # a letter token leads to s + 1; an w-token's body starts at target - 1
+        assert [("letter", a) if target == s + 1 else ("omega", target - 1)
+                for s, (a, target) in enumerate(auto.succ)] == tokens
         for lo in range(auto.n + 1):
             for hi in range(lo, auto.n + 1):
                 expected = _outcome(_reference_range, tokens, lo, hi)
@@ -355,9 +357,9 @@ def test_expr_of_range_matches_a_letter_by_letter_rebuild(seed):
 
 def test_factorize_primes_are_nodes_of_the_duplicated_expression():
     """On a depth-10 tower, every w-power in the primes is a node of tau(e)
-    itself, not a copy.  compile_expr's cache matches expressions by
-    equality, so it is cleared first: a hit would hand back the nodes of an
-    equal expression compiled earlier."""
+    itself, not a copy.  Equal expressions are one node, so a hit in
+    compile_expr's cache hands back the same nodes; the cache is cleared
+    first all the same, so the primes come from this compile."""
     compile_expr.cache_clear()
     text = "ac"
     for x in "bcabcabcab":

@@ -43,7 +43,7 @@ SHAPES = {"a": nest(DEEP), "ab": nest(DEEP, "b" * DEEP)}
 @pytest.mark.parametrize("text", SHAPES.values(), ids=SHAPES.keys())
 def test_hash_and_equality_of_separately_parsed_deep_nestings(text):
     e, f = parse_expr(text), parse_expr(text)
-    assert e is not f
+    assert e is f
     assert hash(e) == hash(f) and e == f and not e != f
     g = parse_expr(text.replace("a", "b", 1))
     assert e != g and g != e

@@ -1,18 +1,26 @@
+import copy
+import gc
 import pickle
 import random
 import re
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ratword.expr as expr_module
 from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
 from ratword.expr import (LETTERS, Concat, ExprError, Letter, Omega, as_finite_word, concat,
                           expr_length, first_letters, format_expr, letter_at, omega_prefix,
                           parse_expr, power, prefix_to, suffix_from, word_expr)
+from ratword.factorizer import factorize
 from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import Ordinal, ZERO
+from ratword.structural import factorize_structural
 
 from helpers import random_ordinal
 
@@ -258,7 +266,8 @@ def subtrees(e):
 
 
 def rebuild(e):
-    """An equal tree of fresh Concat and Omega nodes."""
+    """The tree rebuilt node by node through the constructors, from the
+    leaves up."""
     if isinstance(e, Letter):
         return Letter(e.sym)
     if isinstance(e, Omega):
@@ -273,19 +282,161 @@ def test_node_semantics(seed):
         for x in subtrees(root):
             field = FIELDS[type(x)]
             value = getattr(x, field)
-            copy = rebuild(x)
-            assert copy == x and x == copy and not copy != x
-            assert hash(copy) == hash(x) == hash(x) == hash((value,))
+            twin = rebuild(x)
+            assert twin == x and x == twin and not twin != x
+            assert hash(twin) == hash(x) == hash(x)
+            assert rebuild(x) is x
+            assert pickle.loads(pickle.dumps(x)) is x
+            assert copy.deepcopy(x) is x and copy.copy(x) is x
             assert x != Omega(x) and Omega(x) != x
-            assert pickle.loads(pickle.dumps(x)) == x
             if isinstance(x, Letter):
-                assert x is Letter(x.sym) is copy is pickle.loads(pickle.dumps(x))
+                assert x is Letter(x.sym) is twin
             assert not hasattr(x, "__dict__")
             with pytest.raises(AttributeError):
                 setattr(x, field, value)
             with pytest.raises(AttributeError):
                 delattr(x, field)
             assert getattr(x, field) is value
+
+
+def reference_equal(x, y):
+    """Structural equality, node by node from an explicit stack: the
+    equality that nodes had before they were canonical, with no identity
+    shortcut, so it trusts no table."""
+    pairs = [(x, y)]
+    while pairs:
+        x, y = pairs.pop()
+        kind = type(x)
+        if kind is not type(y):
+            return False
+        if kind is Letter:
+            if x.sym != y.sym:
+                return False
+        elif kind is Omega:
+            pairs.append((x.body, y.body))
+        elif len(x.parts) != len(y.parts):
+            return False
+        else:
+            pairs += zip(x.parts, y.parts)
+    return True
+
+
+def mutants(rng, e):
+    """e's text with one letter changed, and once with the same letter put
+    back, parsed afresh."""
+    text = format_expr(e)
+    i = rng.choice([i for i, c in enumerate(text) if c in "abcd"])
+    return [parse_expr(text[:i] + c + text[i + 1:]) for c in (rng.choice("abcd"), text[i])]
+
+
+def rebuilds(rng, e):
+    """e built again through the library's constructions, each one denoting
+    e by the same expression."""
+    auto = compile_expr(e)
+    out = [parse_expr(format_expr(e)), rebuild(e), concat([e]), power(e, fin(1)),
+           expr_of_range(auto, 0, auto.n), suffix_from(e, ZERO), prefix_to(e, expr_length(e))]
+    if type(e) is Concat:
+        cut = rng.randint(1, len(e.parts) - 1)
+        out.append(concat([concat(e.parts[:cut]), concat(e.parts[cut:])]))
+    if type(e) is Omega:
+        out.append(Omega(rebuild(e.body)))
+    return out
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_one_node_per_expression(seed):
+    """Two nodes are one object exactly when they are equal expressions, on
+    random draws, one-letter mutants and nodes built again through parse,
+    concat, power, tau, expr_of_range, prefix_to and suffix_from."""
+    rng = random.Random(seed)
+    draws = [random_expr(rng, max_size=rng.randint(1, 12), max_depth=rng.randint(0, 3),
+                         letters=rng.choice(["ab", "abcd"])) for _ in range(4)]
+    pool = list(draws)
+    for e in draws:
+        pool += mutants(rng, e) + rebuilds(rng, e)
+        pool += [power(e, fin(2)), concat([e, e]), power(e, W()), Omega(e), tau(e),
+                 tau(parse_expr(format_expr(e)))]
+        total = expr_length(e)
+        for gamma in {fin(1), fin(2), random_position(rng, total)}:
+            if not gamma.is_zero and gamma < total:
+                pool += [prefix_to(e, gamma), suffix_from(e, gamma)]
+        auto = compile_expr(tau(e))
+        pool += [expr_of_range(auto, 0, hi) for hi in {1, rng.randint(1, auto.n), auto.n}]
+    for x in pool:
+        assert parse_expr(format_expr(x)) is x
+        for y in pool:
+            assert (x is y) == reference_equal(x, y)
+    for e in draws:
+        assert all(x is e for x in rebuilds(rng, e))
+        assert power(e, fin(2)) is concat([e, e]) and power(e, W()) is Omega(e)
+
+
+def test_dropped_nodes_are_released():
+    """Nothing keeps a node alive but its own references: once the node and
+    the caches that held it are gone, every node of it is freed and its
+    table entry with it."""
+    e = parse_expr("(xy^w(yx)^wz)^wxz(zy)^w(x(yz)^w)^w")
+    factorize(e)
+    factorize_structural(e)
+    refs = [weakref.ref(x) for x in subtrees(e) if type(x) is not Letter]
+    assert len(refs) == 12
+    del e
+    compile_expr.cache_clear()
+    expr_length.cache_clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    for table in (expr_module._CONCATS, expr_module._OMEGAS):
+        assert all(ref() is not None for ref in table.values())
+
+
+def test_threads_that_build_one_expression_get_one_node():
+    """Threads that build and drop the same expressions at once, switching
+    every microsecond: a text parsed twice by one thread, while the other
+    threads race to build and free its nodes, gives one node both times."""
+    rng = random.Random(1)
+    texts = [format_expr(random_expr(rng, max_size=12, max_depth=3, letters="ab"))
+             for _ in range(60)]
+    mismatches = []
+
+    def work():
+        for _ in range(40):
+            for i, text in enumerate(texts):
+                first = parse_expr(text)
+                parse_expr(texts[i - 1])
+                if parse_expr(text) is not first:
+                    mismatches.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_a_late_callback_leaves_a_newer_node_in_place():
+    """A node's weakref callback takes its table entry out only while the
+    entry's node is dead, so a newer node's entry stays."""
+    body = parse_expr("zyx")
+    for table, build, key in ((expr_module._OMEGAS, Omega, body),
+                              (expr_module._CONCATS, Concat, tuple(map(Letter, "qzq")))):
+        old = build(key)
+        ref = table[key]
+        callback = ref.__callback__
+        del old
+        gc.collect()
+        assert key not in table
+        new = build(key)
+        assert table[key] is not ref
+        callback(ref)     # late: the entry is the newer node's by now
+        assert table[key]() is new and build(key) is new
 
 
 @settings(deadline=None)
