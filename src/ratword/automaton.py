@@ -34,12 +34,15 @@ class MissingLimitError(AutomatonError):
 class SingleWordAutomaton:
     """The transitions are the one source of the token structure, and
     nodes[s] is the Letter or Omega node that token s was compiled from.
+    The limit transitions are read off the back edges: an w-token hi with
+    the back edge hi -> lo has the limit {lo..hi} -> hi + 1, and no other
+    state tops a loop.
 
-    No transition skips ahead: the successor of s goes to at most s + 1 and
-    the limit on (lo, hi) goes to hi + 1.  The product run relies on this to
-    read the states a loop collapses as the interval of the loop's window
-    (see `runner.Trace`), so construction checks it and raises
-    AutomatonError otherwise.
+    No transition skips ahead: the successor of s goes to at most s + 1,
+    and a limit leaves its interval to the next state.  The product run
+    relies on this to name the loop a closure collapses by the greatest
+    state of its window (see `runner.Trace`), so construction checks it
+    and raises AutomatonError otherwise.
 
     The product run reads transitions from `table`, succ with None for the
     final state, a tuple that every `SharpAutomaton` on this automaton
@@ -49,46 +52,46 @@ class SingleWordAutomaton:
     jump = -1
     back = None
 
-    def __init__(self, succ, limits, nodes):
+    def __init__(self, succ, nodes):
         self.succ = tuple(succ)          # succ[s] = (letter, target), s in 0..n-1
         self.n = len(self.succ)
-        self.limits = dict(limits)       # (lo, hi) -> target
         self.nodes = tuple(nodes)
         self.table = self.succ + (None,)
         for s, (_, target) in enumerate(self.succ):
             if target > s + 1:
                 raise AutomatonError(f"successor {s}->{target} skips ahead")
-        for (lo, hi), target in self.limits.items():
-            if target != hi + 1:
-                raise AutomatonError(f"limit {{{lo}..{hi}}}->{target} does not leave to {hi + 1}")
+
+    @cached_property
+    def limits(self) -> dict[tuple[int, int], int]:
+        """(lo, hi) -> hi + 1 for each back edge hi -> lo."""
+        return {(lo, hi): hi + 1 for hi, (_, lo) in enumerate(self.succ) if lo <= hi}
 
     @cached_property
     def in_loop(self) -> bytes:
         """in_loop[s] is nonzero when state s lies in some limit interval."""
         depth = [0] * (self.n + 2)
-        for lo, hi in self.limits:
-            depth[lo] += 1
-            depth[hi + 1] -= 1
+        for hi, (_, lo) in enumerate(self.succ):
+            if lo <= hi:
+                depth[lo] += 1
+                depth[hi + 1] -= 1
         return bytes(d > 0 for d in accumulate(depth[:-1]))
 
-    def limit_target(self, lo: int, hi: int) -> int:
-        """The target of the limit transition taken when the states lo..hi
-        repeat cofinally.  The run only ever collapses a whole interval (see
-        `runner.Trace`), so lo and hi name the set."""
-        try:
-            return self.limits[(lo, hi)]
-        except KeyError:
-            raise MissingLimitError(
-                f"no limit transition for cofinal interval [{lo}, {hi}]") from None
+    def limit_target(self, hi: int) -> int:
+        """The target of the limit transition taken when the loop topped by
+        state hi repeats cofinally: hi + 1, if hi is an w-token.  The
+        greatest state of a closure's window names its loop (see
+        `runner.Trace`)."""
+        if hi < self.n and self.succ[hi][1] <= hi:
+            return hi + 1
+        raise MissingLimitError(f"state {hi} ends no loop")
 
 
 @lru_cache(maxsize=65536)
 def compile_expr(e: RatExpr) -> SingleWordAutomaton:
     """The automaton of e, built in one iterative walk that numbers the
-    tokens and records each token's transition, node and limit."""
+    tokens and records each token's transition and node."""
     succ: list[tuple[str, int]] = []
     nodes: list[RatExpr] = []
-    limits: dict[tuple[int, int], int] = {}
     stack: list = [e]
     while stack:
         node = stack.pop()
@@ -107,14 +110,14 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
             nodes.append(node)
             # back to just after the body's first token, a letter
             succ.append((succ[start][0], start + 1))
-            limits[(start + 1, s)] = s + 1
-    return SingleWordAutomaton(succ, limits, nodes)
+    return SingleWordAutomaton(succ, nodes)
 
 
 def validate(auto: SingleWordAutomaton) -> list[str]:
     """Structural sanity report; empty list means well-formed.  A debug
     check: compile_expr does not run it.  That no transition skips ahead is
-    checked when the automaton is built."""
+    checked when the automaton is built, and the limits are read off the
+    back edges, so each is well-formed."""
     problems = []
     n = auto.n
     entering: dict[int, list[tuple[str, str]]] = {}
@@ -122,11 +125,7 @@ def validate(auto: SingleWordAutomaton) -> list[str]:
         if target < 1:
             problems.append(f"successor {s}->{target} leaves the states")
         entering.setdefault(target, []).append(("succ", letter))
-        if target <= s and (target, s) not in auto.limits:
-            problems.append(f"backward transition {s}->{target} lacks a limit transition")
-    for (lo, hi), target in auto.limits.items():
-        if not (0 < lo <= hi < target <= n):
-            problems.append(f"limit {{{lo}..{hi}}}->{target} malformed")
+    for target in auto.limits.values():
         entering.setdefault(target, []).append(("limit", ""))
     # Limit intervals must nest or be disjoint.  Sweep them by start, outer
     # first, keeping the chain of intervals that enclose the current start.
@@ -158,8 +157,9 @@ class SharpAutomaton:
     """Closure of a sub-automaton under ordinal powers: to states [i, j] add
     the successor j -a-> i+1 (a the label leaving i) and the limit transition
     {i+1,...,j} -> j.  With j = i+1 this degenerates to the one-letter loop.
-    Requires i outside every loop.  The transitions are the base's `table`,
-    shared, with state j redirected (`jump`) to the added edge (`back`)."""
+    Requires i outside every loop, so that a loop through j is the whole
+    interval i+1..j.  The transitions are the base's `table`, shared, with
+    state j redirected (`jump`) to the added edge (`back`)."""
 
     def __init__(self, base: SingleWordAutomaton, i: int, j: int):
         self.base = base
@@ -179,13 +179,13 @@ class SharpAutomaton:
         self.jump = j
         self.back = (base.succ[i][0], i + 1)     # the added j -a-> i+1
 
-    def limit_target(self, lo: int, hi: int) -> int:
-        """The added limit on the interval i+1..j, or the base automaton's
-        limit on lo..hi if it stays within [i, j]."""
+    def limit_target(self, hi: int) -> int:
+        """The added limit, for the loop topped by j, or the base's limit
+        for the loop topped by hi if it stays within [i, j]."""
         j = self.jump
-        if lo == self.i + 1 and hi == j:
+        if hi == j:
             return j
-        target = self.base.limit_target(lo, hi)
+        target = self.base.limit_target(hi)
         if target > j:
             raise MissingLimitError(f"limit target {target} escapes sharp [{self.i},{j}]")
         return target

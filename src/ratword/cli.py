@@ -28,9 +28,9 @@ from .structural import StructuralError, factorize_structural
 
 
 # A cost guard, not a recursion guard: at this w-nesting, prime_witness takes
-# over a minute (74 s on the 1000-deep (...(ab)^wb...)^wb), in the min and
-# max that each loop closure of its product run from (0, q) takes over its
-# window, for every state q.
+# over half a minute (39 s on the 1000-deep (...(ab)^wb...)^wb, Python 3.11
+# on 2 vCPUs), in the max that each loop closure of its product run from
+# (0, q) takes over its window in each component, for every state q.
 MAX_NESTING = 1000
 
 

@@ -27,7 +27,7 @@ from .duplication import tau
 from .expr import Letter, RatExpr, concat, expr_length, format_expr, power
 from .order import word_equal
 from .ordinal import ONE, Ordinal, div_left, format_ordinal
-from .runner import Diverged, RightEnded, Trace, sync_step
+from .runner import Trace, sync_step
 
 
 class FactorizeError(RuntimeError):
@@ -96,7 +96,7 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
     while True:
         if keep_log:
             log.append(StepRecord(case, tuple(history.pairs())))
-        outcome = sync_step(auto, sharp, history)
+        a, b = sync_step(auto, sharp, history)
         # every entry after the first is one 1a/1b/1c step, and one more
         # step read the stop.  Every letter adds a new pair, so every run
         # ends, and a budget checked after each run refuses the same inputs
@@ -107,10 +107,10 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
         seen_left.update(lefts)
         if keep_log:
             log += _run_records(history, j)
-        if isinstance(outcome, RightEnded):
+        if b is None:
             raise FactorizeError("sharp automaton has no final state; cannot end")
         k = lefts[-1]
-        if isinstance(outcome, Diverged) and outcome.left_letter > outcome.right_letter:
+        if a is not None and a > b:
             # the suffix at j is larger: extend the candidate prefix past k.
             # The check is against the whole main run since i: a revisited
             # target means the main run is inside a loop, and the cut moves
@@ -148,12 +148,12 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
 def _run_records(history: Trace, j: int) -> list[StepRecord]:
     """The records of the 1a/1b/1c steps that built a finished run's trace:
     entry m was reached by a letter (1a) or by a loop closure, 1c when the
-    closure collapsed j in the candidate and 1b otherwise.  Its history is
-    the first m + 1 pairs."""
+    closure collapsed the candidate's loop, topped by j, and 1b otherwise.
+    Its history is the first m + 1 pairs."""
     pairs = history.pairs()
     cases = ["1a"] * len(pairs)
-    for m, rlo, rhi in history.closures():
-        cases[m] = "1c" if rlo <= j <= rhi else "1b"
+    for m, top in history.closures():
+        cases[m] = "1c" if top == j else "1b"
     return [StepRecord(cases[m], tuple(pairs[:m + 1])) for m in range(1, len(pairs))]
 
 

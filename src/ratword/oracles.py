@@ -7,7 +7,7 @@ from .automaton import compile_expr, suffix_word
 from .expr import RatExpr, as_finite_word, expr_length, power, prefix_to
 from .order import word_equal
 from .ordinal import ONE, Ordinal, div_left
-from .runner import BothEnded, Diverged, Trace, sync_step
+from .runner import Trace, sync_step
 
 
 def duval_factorize(word: str) -> list[str]:
@@ -84,9 +84,8 @@ def prime_witness(e: RatExpr) -> tuple | None:
     trace = Trace((0, 0))
     for q in range(1, auto.n):
         trace.reset((0, q))
-        stop = sync_step(auto, auto, trace)
-        if isinstance(stop, BothEnded) or \
-                isinstance(stop, Diverged) and stop.left_letter < stop.right_letter:
+        a, b = sync_step(auto, auto, trace)
+        if a is None or b is not None and a < b:
             continue
         return ("suffix", q, suffix_word(auto, q))
     return None

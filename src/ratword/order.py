@@ -30,7 +30,7 @@ from operator import itemgetter
 from .automaton import compile_expr
 from .expr import RatExpr, as_finite_word, expr_length, first_letters, omega_prefix
 from .ordinal import Ordinal
-from .runner import BothEnded, Diverged, LeftEnded, RightEnded, run_to_divergence
+from .runner import run_to_divergence
 
 
 class Rel(enum.Enum):
@@ -135,16 +135,12 @@ def compare(x: RatExpr | str, y: RatExpr | str) -> CompareOutcome:
 def compare_via_automata(x: RatExpr, y: RatExpr) -> CompareOutcome:
     """The product-run path of compare, taken for any two expressions, finite
     or not (tests cross-check it against compare's string paths)."""
-    trace, outcome = run_to_divergence(compile_expr(x), compile_expr(y))
-    if isinstance(outcome, Diverged):
-        a, b = outcome.left_letter, outcome.right_letter
-        return CompareOutcome(_LESS if a < b else _GREATER, trace.position(-1), (a, b))
-    if isinstance(outcome, LeftEnded):
-        return CompareOutcome(_LEFT_PREFIX, expr_length(x))
-    if isinstance(outcome, RightEnded):
+    trace, (a, b) = run_to_divergence(compile_expr(x), compile_expr(y))
+    if a is None:
+        return _EQUAL_OUTCOME if b is None else CompareOutcome(_LEFT_PREFIX, expr_length(x))
+    if b is None:
         return CompareOutcome(_RIGHT_PREFIX, expr_length(y))
-    assert isinstance(outcome, BothEnded)
-    return _EQUAL_OUTCOME
+    return CompareOutcome(_LESS if a < b else _GREATER, trace.position(-1), (a, b))
 
 
 def word_equal(x: RatExpr | str, y: RatExpr | str) -> bool:

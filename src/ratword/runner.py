@@ -14,7 +14,8 @@ reached: a pair reached by a letter sits one past the pair before it, and a
 pair reached by limit transitions keeps the loop entries of the cascade that
 reached it, so `Trace.position` derives a position only when asked.  Nor
 does it store the states that a closure collapses: in each component they
-are the interval spanned by the closure's own window (see `Trace`).
+are the loop named by the greatest state of the closure's own window (see
+`Trace`).
 
 `sync_step` is the package's one walk along transitions: `suffix_word` and
 `primitive_root` read a word's suffixes and prefix lengths off the trace of
@@ -73,9 +74,17 @@ class Trace:
     back edge goes to i+1, its least state.  The state the edge lands on is
     in our window, so the window's minimum is at most lo_m.
 
+    `sync_step` relies on the upper end alone: it reads each closure's loop
+    off the greatest state of its window.  In a `SingleWordAutomaton` each
+    w-token hi tops exactly one loop interval, [succ[hi][1], hi], and no
+    other state tops one; in a sharp, a window topped by j is [i+1, j],
+    because `retarget` refuses an i inside a loop.  The lower end and the
+    absence of gaps make the window that loop's whole interval; the tests
+    check both against a lookup of the whole interval.
+
     The last closure of a cascade opens its earliest loop, so its window
-    holds every other window of the cascade, and `closures` reads each
-    limit entry's collapsed states from it."""
+    holds every other window of the cascade, and `closures` reads the top
+    of each limit entry's collapsed states from it."""
 
     def __init__(self, first: tuple[int, int]):
         self._lefts: list[int] = [first[0]]              # the pairs, by component
@@ -107,13 +116,12 @@ class Trace:
         return set(compress(self._lefts, map(right.__eq__, self._rights)))
 
     def closures(self):
-        """(entry, rlo, rhi) for each limit entry after the first: its index
-        and the interval of right states its cascade collapsed, those of its
-        last closure's window."""
+        """(entry, top) for each limit entry after the first: its index and
+        the greatest right state its cascade collapsed, the top of its last
+        closure's window."""
         rights = self._rights
         for m, cascade in zip(self._limit_at[1:], self._cascades[1:]):
-            window = rights[cascade[-1]:m]
-            yield m, min(window), max(window)
+            yield m, max(rights[cascade[-1]:m])
 
     def position(self, i: int) -> Ordinal:
         """Ordinal position at which the run first reached entry i (negative
@@ -137,41 +145,13 @@ class Trace:
         return self._limit_pos[k] + Ordinal.from_int(i - self._limit_at[k])
 
 
-# The stops of a run are plain slotted classes: a frozen dataclass's
-# __init__ costs about twice as much.
-
-class Diverged:
-    __slots__ = ("left_letter", "right_letter")
-
-    def __init__(self, left_letter: str, right_letter: str):
-        self.left_letter = left_letter
-        self.right_letter = right_letter
-
-
-class LeftEnded:
-    __slots__ = ("right_letter",)
-
-    def __init__(self, right_letter: str):
-        self.right_letter = right_letter
-
-
-class RightEnded:
-    __slots__ = ("left_letter",)
-
-    def __init__(self, left_letter: str):
-        self.left_letter = left_letter
-
-
-class BothEnded:
-    __slots__ = ()
-
-
 def sync_step(left, right, trace: Trace):
     """Run the product from the trace's last pair to its next stop and
-    return it: Diverged, LeftEnded, RightEnded or BothEnded, read from the
-    trace's new last pair.  A transition leaving s is the automaton's
-    `back` when s is its `jump` state and `table[s]` otherwise (None at the
-    final state), so a letter costs no Python call."""
+    return it as the pair (left letter, right letter) read there: two
+    letters that differ, or None for a component at its final state.  A
+    transition leaving s is the automaton's `back` when s is its `jump`
+    state and `table[s]` otherwise (None at the final state), so a letter
+    costs no Python call."""
     lefts, rights, index = trace._lefts, trace._rights, trace._index
     ltable, ljump, lback = left.table, left.jump, left.back
     rtable, rjump, rback = right.table, right.jump, right.back
@@ -179,14 +159,13 @@ def sync_step(left, right, trace: Trace):
     while True:
         step_l = lback if s == ljump else ltable[s]
         step_r = rback if t == rjump else rtable[t]
-        if step_l is None:
-            return BothEnded() if step_r is None else LeftEnded(step_r[0])
-        if step_r is None:
-            return RightEnded(step_l[0])
+        if step_l is None or step_r is None:
+            return (None if step_l is None else step_l[0],
+                    None if step_r is None else step_r[0])
         a, s = step_l
         b, t = step_r
         if a != b:
-            return Diverged(a, b)
+            return a, b
         pair = (s, t)
         if pair not in index:
             index[pair] = len(lefts)
@@ -195,15 +174,14 @@ def sync_step(left, right, trace: Trace):
             continue
         # a repeated pair closes a loop; nested loops may cascade when the
         # run entered an outer loop mid-cycle.  Each closure collapses the
-        # interval of its window, the pairs from its entry on.
+        # loop named by the greatest state of its window, the pairs from
+        # its entry on.
         cascade = []
         while pair in index:
             idx = index[pair]
             cascade.append(idx)
-            window = lefts[idx:]
-            s = left.limit_target(min(window), max(window))
-            window = rights[idx:]
-            t = right.limit_target(min(window), max(window))
+            s = left.limit_target(max(lefts[idx:]))
+            t = right.limit_target(max(rights[idx:]))
             pair = (s, t)
         index[pair] = len(lefts)
         trace._limit_at.append(len(lefts))
@@ -214,7 +192,8 @@ def sync_step(left, right, trace: Trace):
 
 def run_to_divergence(left, right):
     """Run the product from the two initial states until the components read
-    different letters or at least one ends.  Returns (trace, outcome).
+    different letters or at least one ends.  Returns the trace and the
+    stop, the pair of letters read there (see `sync_step`).
 
     The run cannot go on for ever: each letter adds a pair the trace has
     not seen, and a cascade of closures ends, because on a
@@ -223,7 +202,7 @@ def run_to_divergence(left, right):
     loop.  So the trace never holds more than the (left.n + 1) *
     (right.n + 1) pairs of the product, the bound checked below."""
     trace = Trace((left.initial, right.initial))
-    outcome = sync_step(left, right, trace)
+    stop = sync_step(left, right, trace)
     if len(trace) > (left.n + 1) * (right.n + 1):
         raise TraceError("product run outgrew the pairs of the product")
-    return trace, outcome
+    return trace, stop

@@ -15,6 +15,8 @@ from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import OMEGA, ONE, ZERO, Ordinal, sub_left
 
+from test_order import interval_limit
+
 W = Ordinal.omega
 fin = Ordinal.from_int
 
@@ -87,19 +89,17 @@ def _looped(limits):
     succ = [("a", s + 1) for s in range(n)]
     for lo, hi in limits:
         succ[hi] = ("a", lo)
-    return SingleWordAutomaton(succ, {(lo, hi): hi + 1 for lo, hi in limits}, ())
+    auto = SingleWordAutomaton(succ, ())
+    assert auto.limits == {(lo, hi): hi + 1 for lo, hi in limits}
+    return auto
 
 
-@pytest.mark.parametrize("succ, limits, message", [
-    ([("a", 1), ("a", 3), ("a", 3)], {}, "successor 1->3 skips ahead"),
-    ([("a", 1), ("a", 1), ("b", 3)], {(1, 1): 3}, "limit {1..1}->3 does not leave to 2"),
-    ([("a", 1), ("a", 2), ("a", 1), ("b", 4)], {(1, 2): 2}, "limit {1..2}->2 does not leave to 3"),
-])
-def test_construction_refuses_transitions_that_skip_ahead(succ, limits, message):
-    """The product run carries a loop's states as an interval, which holds
-    only while no transition skips ahead; construction checks it."""
-    with pytest.raises(AutomatonError, match=re.escape(message)):
-        SingleWordAutomaton(succ, limits, ())
+def test_construction_refuses_transitions_that_skip_ahead():
+    """The product run names a loop by the greatest state of its window,
+    which holds only while no transition skips ahead; construction checks
+    it."""
+    with pytest.raises(AutomatonError, match=re.escape("successor 1->3 skips ahead")):
+        SingleWordAutomaton([("a", 1), ("a", 3), ("a", 3)], ())
 
 
 @pytest.mark.parametrize("limits, crossing", [
@@ -147,17 +147,66 @@ def test_sharp_shape():
     sharp = SharpAutomaton(auto, 0, 4)
     assert sharp.table is auto.table              # the base's transitions, shared
     assert (sharp.jump, sharp.back) == (4, ("a", 1))  # added back edge labeled like 0->1
-    assert sharp.limit_target(1, 4) == 4          # added limit
-    assert sharp.limit_target(2, 2) == 3          # inherited limit
-    with pytest.raises(MissingLimitError):
-        sharp.limit_target(6, 6)                  # inherited, but leaves [0, 4]
-    for lo, hi in [(1, 3), (2, 4)]:
-        with pytest.raises(MissingLimitError):
-            sharp.limit_target(lo, hi)            # intervals that are no limit
+    assert sharp.limit_target(4) == 4             # added limit, on the loop topped by j
+    assert sharp.limit_target(2) == 3             # inherited limit
+    with pytest.raises(MissingLimitError, match=re.escape("limit target 7 escapes sharp [0,4]")):
+        sharp.limit_target(6)                     # inherited, but leaves [0, 4]
+    with pytest.raises(MissingLimitError, match=re.escape("state 3 ends no loop")):
+        sharp.limit_target(3)                     # a letter token tops no loop
     # degenerate j = i+1: one-letter loop
     one = SharpAutomaton(auto, 0, 1)
     assert (one.jump, one.back) == (1, ("a", 1))
-    assert one.limit_target(1, 1) == 1
+    assert one.limit_target(1) == 1
+
+
+def test_base_refuses_a_top_state_that_ends_no_loop():
+    """Only an w-token tops a loop: every other state, the final one
+    included, has no limit transition."""
+    auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
+    tops = [2, 6, 8, 11]
+    assert [auto.limit_target(hi) for hi in tops] == [3, 7, 9, 12]
+    for hi in sorted(set(range(auto.n + 1)) - set(tops)):
+        with pytest.raises(MissingLimitError, match=re.escape(f"state {hi} ends no loop")):
+            auto.limit_target(hi)
+
+
+def reference_limits(e):
+    """The limit transitions of e by a recursive walk of the expression:
+    (start + 1, s) -> s + 1 for each w-token s whose body starts at token
+    start."""
+    limits, tokens = {}, [0]
+
+    def walk(node):
+        if isinstance(node, Letter):
+            tokens[0] += 1
+        elif isinstance(node, Omega):
+            start = tokens[0]
+            walk(node.body)
+            s = tokens[0]
+            limits[(start + 1, s)] = s + 1
+            tokens[0] += 1
+        else:
+            for part in node.parts:
+                walk(part)
+
+    walk(e)
+    return limits
+
+
+def test_limits_are_the_back_edges():
+    """The limits read off the back edges are those the expression's
+    w-tokens make, on 2,000 random_expr draws and their tau, and each of
+    those automata validates clean."""
+    rng = random.Random(20)
+    draws = [random_expr(rng, max_size=12, max_depth=3, letters="abc") for _ in range(2000)]
+    omegas = 0
+    for e in draws + [tau(e) for e in draws]:
+        auto = compile_expr(e)
+        assert auto.limits == reference_limits(e), format_expr(e)
+        assert validate(auto) == []
+        omegas += len(auto.limits)
+    assert omegas > 4000
+    compile_expr.cache_clear()
 
 
 def test_first_visit_prefix():
@@ -216,7 +265,7 @@ def reference_suffix_word(auto, q):
             parts, body = split_at(concat(parts + [piece]), entry_pos)
             piece = Omega(concat(body))
             pos = entry_pos + sub_left(entry_pos, pos) * OMEGA
-            target = auto.limit_target(min(cofinal), max(cofinal))
+            target = interval_limit(auto, min(cofinal), max(cofinal))
         parts.append(piece)
         seq.append(target)
         first[target] = len(seq) - 1

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword import cli
-from ratword.automaton import AutomatonError, MissingLimitError
+from ratword.automaton import AutomatonError, MissingLimitError, SharpAutomaton, compile_expr
 from ratword.cli import main
-from ratword.duplication import TAU_TOKENS
+from ratword.duplication import TAU_TOKENS, tau
 from ratword.expr import ExprError, parse_expr
 from ratword.ordinal import OrdinalError
 from ratword.runner import TraceError
@@ -330,3 +330,19 @@ def test_invariant_failure_exit_code(capsys, monkeypatch, engine, error):
     assert code == 2
     assert out == ""
     assert err == "invariant failure: injected\n"
+
+
+@pytest.mark.parametrize("lookup, message", [
+    (lambda: compile_expr(parse_expr("(bba)^w")).limit_target(1),
+     "state 1 ends no loop"),
+    (lambda: SharpAutomaton(compile_expr(tau(parse_expr("(a^wb)^wa^w"))), 0, 4).limit_target(6),
+     "limit target 7 escapes sharp [0,4]"),
+], ids=["base", "sharp"])
+def test_missing_limit_exit_code(capsys, monkeypatch, lookup, message):
+    """A top state that ends no loop, and a sharp's limit that escapes its
+    range, raise MissingLimitError, an invariant failure with exit code 2."""
+    with pytest.raises(MissingLimitError):
+        lookup()
+    monkeypatch.setattr(cli, "factorize", lambda *args, **kwargs: lookup())
+    code, out, err = run(capsys, "factorize", "(bba)^w")
+    assert (code, out, err) == (2, "", f"invariant failure: {message}\n")

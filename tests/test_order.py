@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword import factorizer, order, runner
-from ratword.automaton import SharpAutomaton, compile_expr
+from ratword.automaton import MissingLimitError, SharpAutomaton, compile_expr
 from ratword.duplication import tau
 from ratword.expr import (Letter, Omega, as_finite_word, concat, first_letters, format_expr,
                           letter_at, parse_expr, prefix_to)
@@ -18,7 +18,7 @@ from ratword.gen import random_expr
 from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compare_via_automata,
                            word_equal)
 from ratword.ordinal import Ordinal, parse_ordinal
-from ratword.runner import RightEnded, Trace, run_to_divergence, sync_step
+from ratword.runner import Trace, run_to_divergence, sync_step
 
 from helpers import random_finite_word
 
@@ -256,8 +256,37 @@ def test_long_closure_chain():
     assert out.rel is Rel.LESS and out.position == W(11) and out.letters == ("b", "c")
 
 
+def interval_limit(auto, lo, hi):
+    """The limit transition taken when the states lo..hi repeat cofinally,
+    looked up by the whole interval, as the product run did before it named
+    a loop by its top state: the base automaton's limits[(lo, hi)], or a
+    sharp's added limit on (i+1, j), or the base's limit if it stays
+    within [i, j]."""
+    if isinstance(auto, SharpAutomaton):
+        j = auto.jump
+        if (lo, hi) == (auto.i + 1, j):
+            return j
+        target = interval_limit(auto.base, lo, hi)
+        if target > j:
+            raise MissingLimitError(f"limit target {target} escapes sharp [{auto.i},{j}]")
+        return target
+    try:
+        return auto.limits[(lo, hi)]
+    except KeyError:
+        raise MissingLimitError(f"no limit transition for cofinal interval [{lo}, {hi}]") from None
+
+
+def loop_start(auto, top):
+    """The least state of the loop topped by `top`: i + 1 for a sharp's j,
+    and the target of top's back edge otherwise."""
+    if top == auto.jump:
+        return auto.i + 1
+    return auto.table[top][1]
+
+
 class CountingLimits:
-    """An automaton that counts its limit transitions."""
+    """An automaton that counts its limit transitions, and checks each one
+    against the lookup of the loop's whole interval."""
 
     def __init__(self, auto):
         self.auto, self.calls = auto, 0
@@ -265,21 +294,24 @@ class CountingLimits:
     def __getattr__(self, name):
         return getattr(self.auto, name)
 
-    def limit_target(self, lo, hi):
+    def limit_target(self, hi):
         self.calls += 1
-        return self.auto.limit_target(lo, hi)
+        target = self.auto.limit_target(hi)
+        assert target == interval_limit(self.auto, loop_start(self.auto, hi), hi)
+        return target
 
 
 # -- the step-by-step reference ----------------------------------------------
 #
 # runner.sync_step runs the product to its next stop in one loop, and a
-# closure collapses the interval of its own window.  The reference below is
-# the run as first written, one step per call: it returns the pair that a
-# letter reached (Advanced) or that a cascade of loop closures reached
-# (LoopClosed), stores the same entries, limit entries and cascades, and
-# carries the states each cascade collapsed as spans on a ReferenceTrace.
-# A closure there widens the span so far with its window and with the spans
-# carried by the limit entries after its entry.
+# closure collapses the loop named by the greatest state of its own window.
+# The reference below is the run as first written, one step per call: it
+# returns the pair that a letter reached (Advanced) or that a cascade of
+# loop closures reached (LoopClosed), stores the same entries, limit
+# entries and cascades, and carries the states each cascade collapsed as
+# spans on a ReferenceTrace.  A closure there widens the span so far with
+# its window and with the spans carried by the limit entries after its
+# entry, and looks the limit up by the whole span (`interval_limit`).
 
 class ReferenceTrace(Trace):
     """A runner.Trace that also carries, by component, lo and hi of the
@@ -332,18 +364,15 @@ def append_limit(trace, pair, cascade, span):
 
 
 def reference_step(left, right, trace):
-    """Advance the product run by one letter (or one limit resolution)."""
+    """Advance the product run by one letter (or one limit resolution).  A
+    stop is the pair of letters read there, None for an ended component."""
     step_l = leaving(left, trace._lefts[-1])
     step_r = leaving(right, trace._rights[-1])
-    if step_l is None and step_r is None:
-        return runner.BothEnded()
-    if step_l is None:
-        return runner.LeftEnded(step_r[0])
-    if step_r is None:
-        return runner.RightEnded(step_l[0])
+    if step_l is None or step_r is None:
+        return (step_l and step_l[0], step_r and step_r[0])
     (a, target_l), (b, target_r) = step_l, step_r
     if a != b:
-        return runner.Diverged(a, b)
+        return a, b
     pair = (target_l, target_r)
     if pair not in trace._index:
         trace._index[pair] = len(trace._lefts)
@@ -357,7 +386,7 @@ def reference_step(left, right, trace):
         idx = trace._index[pair]
         cascade.append(idx)
         collect_loop(trace, idx, span)
-        pair = (left.limit_target(span[0], span[1]), right.limit_target(span[2], span[3]))
+        pair = (interval_limit(left, span[0], span[1]), interval_limit(right, span[2], span[3]))
     append_limit(trace, pair, tuple(cascade), span)
     return LoopClosed(pair, first_entry, span)
 
@@ -367,10 +396,6 @@ def reference_run(left, right, trace):
     while isinstance(out := reference_step(left, right, trace), (Advanced, LoopClosed)):
         pass
     return out
-
-
-def stop_fields(out):
-    return type(out), [getattr(out, name) for name in type(out).__slots__]
 
 
 TRACE_FIELDS = ("_lefts", "_rights", "_index", "_limit_at", "_cascades")
@@ -383,7 +408,7 @@ def test_cascading_closure_positions():
     left, right = CountingLimits(compile_expr(x)), compile_expr(y)
     trace = Trace((left.initial, right.initial))
     out = sync_step(left, right, trace)
-    assert isinstance(out, RightEnded)
+    assert out == ("b", None)
     closures = len(trace._limit_at) - 1      # the limit entries after the first
     assert left.calls > closures
     assert trace.pairs() == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (3, 2),
@@ -411,8 +436,7 @@ def test_reset_trace_reruns_as_a_fresh_one():
     for (left, right), first in runs:
         trace.reset(first)
         fresh = Trace(first)
-        assert stop_fields(sync_step(left, right, trace)) == \
-            stop_fields(sync_step(left, right, fresh))
+        assert sync_step(left, right, trace) == sync_step(left, right, fresh)
         for name in TRACE_FIELDS:
             assert getattr(trace, name) == getattr(fresh, name), name
         assert [trace.position(i) for i in range(len(trace))] == \
@@ -470,7 +494,7 @@ def set_step(left, right, t):
             lefts |= carried_l
             rights |= carried_r
         t.widened += len(lefts) + len(rights) > window
-        pair = (left.limit_target(*interval(lefts)), right.limit_target(*interval(rights)))
+        pair = (interval_limit(left, *interval(lefts)), interval_limit(right, *interval(rights)))
     t.cascades += closures > 1
     t.limit_at.append(len(t.pairs))
     t.carried.append((lefts, rights))
@@ -485,10 +509,11 @@ class RunsAgainstReference:
     field equal to the reference's, the same stop, the SetTrace's pairs and
     limit entries, and every carried span the sets that the set-based
     closure collapsed.  The carried spans are also those that the window
-    rule reads: closures() gives the right ones, and the window of each
-    cascade's last closure spans the left ones.  It sums the loop closures,
-    the steps that closed more than one loop, and the closures whose
-    carried sets added states."""
+    rule reads: closures() gives the tops of the right ones, and the window
+    of each cascade's last closure spans the left ones.  Every closure's
+    window, in each component, is the whole loop its top names.  It sums
+    the loop closures, the steps that closed more than one loop, and the
+    closures whose carried sets added states."""
 
     def __init__(self):
         self.closures = self.cascades = self.widened = 0
@@ -498,7 +523,7 @@ class RunsAgainstReference:
         first = trace.pairs()[0]
         out = sync_step(left, right, trace)
         reference, shadow = ReferenceTrace(first), SetTrace(first)
-        assert stop_fields(out) == stop_fields(reference_run(left, right, reference))
+        assert out == reference_run(left, right, reference)
         for name in TRACE_FIELDS:
             assert getattr(trace, name) == getattr(reference, name), name
         while set_step(left, right, shadow) is not None:
@@ -510,11 +535,15 @@ class RunsAgainstReference:
         for (llo, lhi, rlo, rhi), sets in zip(spans, shadow.carried[1:]):
             assert sets == (set(range(llo, lhi + 1)), set(range(rlo, rhi + 1)))
         limits = trace._limit_at[1:]
-        assert list(trace.closures()) == [(m, rlo, rhi) for m, (_, _, rlo, rhi)
+        assert list(trace.closures()) == [(m, rhi) for m, (_, _, _, rhi)
                                           in zip(limits, spans)]
         for m, cascade, span in zip(limits, trace._cascades[1:], spans):
             window = trace._lefts[cascade[-1]:m]
             assert (min(window), max(window)) == span[:2]
+            for idx in cascade:
+                for auto, states in ((left, trace._lefts), (right, trace._rights)):
+                    window = states[idx:m]
+                    assert min(window) == loop_start(auto, max(window))
         self.closures += len(spans)
         self.cascades += shadow.cascades
         self.widened += shadow.widened
@@ -604,12 +633,12 @@ def reference_marking(auto):
             case = "1c" if span[2] <= j <= span[3] else "1b"
             seen_left.add(outcome.pair[0])
             cascaded += len(history._cascades[-1]) > 1
-        elif isinstance(outcome, RightEnded):
+        elif outcome[1] is None:
             raise FactorizeError("sharp automaton has no final state; cannot end")
         else:
             k = history._lefts[-1]
-            if isinstance(outcome, runner.Diverged) and \
-                    outcome.left_letter > outcome.right_letter:
+            a, b = outcome
+            if a is not None and a > b:
                 _, target = auto.succ[k]
                 if target not in seen_left:
                     case = "2a"
