@@ -338,11 +338,6 @@ def split_at(e: RatExpr, gamma: Ordinal) -> tuple[list[RatExpr], list[RatExpr]]:
     return before, [e] + [p for tail in reversed(tails) for p in tail]
 
 
-def letter_at(e: RatExpr, gamma: Ordinal) -> str:
-    """Letter at ordinal position gamma (0-based)."""
-    return first_letters(suffix_from(e, gamma), 1)
-
-
 def prefix_to(e: RatExpr, gamma: Ordinal) -> RatExpr:
     """The prefix of length gamma, 0 < gamma <= |e|."""
     if gamma.is_zero:

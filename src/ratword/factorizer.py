@@ -3,10 +3,13 @@
 The driver runs the duplicated expression's automaton against the sharp
 closure of one of its own factors, Duval-style.  Each step compares the
 letter leaving the main state k with the letter leaving the candidate state
-k' and either extends the history of pairs (equal letters), restarts with a
-longer candidate prefix (k reads the larger letter), or closes a block of
-prime copies (k reads the smaller letter, or the word ends).  Main cuts end
-up in q_main, boundaries between copies of one prime in q_secondary.
+k' and either extends the history of pairs (equal letters), restarts the
+candidate one past the furthest state the main run has reached since the
+last main cut (k reads the larger letter: 2a or 2b, which differ only in
+their label), or closes a block of prime copies (k reads the smaller letter,
+or the word ends).  As in Duval's algorithm, no record of the visited
+states is kept.  Main cuts end up in q_main, boundaries between copies of
+one prime in q_secondary.
 
 The equal-letter steps (1a, and the loop closures 1b/1c) of one candidate
 are one product run: a single `sync_step` call per candidate, the start
@@ -86,9 +89,18 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
     steps = 0
     budget = n * n * n
 
-    i = 0
-    _, j = auto.succ[0]
-    seen_left = {0, j}  # states visited by the main run since i
+    # The main run has visited exactly the states i..top since the main cut
+    # i, and every run starts at top + 1:
+    # - i lies outside every loop (`SharpAutomaton.retarget` refuses any
+    #   other i), so token i is a letter, since an w-token tops its own loop,
+    #   and no back edge taken after i lands at or below i;
+    # - a successor goes at most one state up, and a limit at most one past
+    #   the states it collapsed.
+    # So when a run ends, top = max(lefts).  A 2a target, the successor of
+    # k, that the main run has not visited is top + 1, the state 2b takes:
+    # the two cases differ only in their label.
+    i = top = 0
+    j = top + 1
     case = "init"
     history = Trace((j, i))
     lefts = history._lefts
@@ -104,41 +116,29 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
         steps += len(lefts)
         if steps > budget:
             raise FactorizeError(f"exceeded step budget n^3 = {budget}")
-        seen_left.update(lefts)
         if keep_log:
             log += _run_records(history, j)
         if b is None:
             raise FactorizeError("sharp automaton has no final state; cannot end")
-        k = lefts[-1]
+        top = max(lefts)
         if a is not None and a > b:
-            # the suffix at j is larger: extend the candidate prefix past k.
-            # The check is against the whole main run since i: a revisited
-            # target means the main run is inside a loop, and the cut moves
-            # beyond the loop's largest state via its limit transition.
-            _, target = auto.succ[k]
-            if target not in seen_left:
-                case = "2a"
-                j = target
-            else:
-                case = "2b"
-                j = max(seen_left) + 1
-            seen_left.add(j)
+            # the suffix at j is larger: extend the candidate prefix past
+            # the furthest state the main run has reached
+            case = "2a" if auto.succ[lefts[-1]][1] > top else "2b"
         else:
             # smaller letter (or end of word): close the block of copies of
             # the prime cut at j
             added = history.lefts_paired_with(j)
             added.add(j)
-            top = max(added)
+            i = top = max(added)
             q_secondary |= added - {top}
             q_main.add(top)
-            i = top
             if keep_log:
                 log.append(StepRecord("3", tuple(history.pairs())))
             if i == n:
                 break
-            _, j = auto.succ[i]
-            seen_left = {i, j}
             case = "init"
+        j = top + 1
         history.reset((j, i))
         sharp.retarget(i, j)
 

@@ -90,7 +90,3 @@ def prime_witness(e: RatExpr) -> tuple | None:
         return ("suffix", q, suffix_word(auto, q))
     return None
 
-
-def is_prime_rational(e: RatExpr) -> bool:
-    """Definition-level primality: prime_witness finds no reason against."""
-    return prime_witness(e) is None

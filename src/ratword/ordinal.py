@@ -7,7 +7,6 @@ coefficients are arbitrary-precision ints.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -160,34 +159,24 @@ def sub_left(gamma: Ordinal, gamma_prime: Ordinal) -> Ordinal:
 
 
 def div_left(lam: Ordinal, mu: Ordinal) -> tuple[Ordinal, Ordinal]:
-    """Quotient and remainder: lam = mu * alpha + rho with rho < mu."""
+    """Quotient and remainder: lam = mu * alpha + rho with rho < mu.  With
+    w^m*c leading mu, mu * w^k = w^(m+k) for k >= 1, so the terms of lam
+    above w^m divide exactly.  The rest takes mu d times, d = cl // c for
+    its term w^m*cl, once fewer when c * d = cl and mu's tail is larger."""
     if mu.is_zero:
         raise OrdinalError("division by zero")
-    alpha = Ordinal()
-    rho = lam
-    while rho >= mu:
-        (l, cl) = rho.terms[0]
-        (m, cm) = mu.terms[0]
-        if l > m:
-            # mu * w^(l-m) * cl has value w^l * cl, the leading chunk of rho.
-            term = Ordinal.omega(l - m, cl)
-            alpha = alpha + term
-            rho = sub_left(Ordinal.omega(l, cl), rho)
-        else:
-            d = cl // cm
-            while d > 0 and mu * Ordinal.from_int(d) > rho:
-                d -= 1
-            if d == 0:
-                break
-            alpha = alpha + Ordinal.from_int(d)
-            rho = sub_left(mu * Ordinal.from_int(d), rho)
-    return alpha, rho
+    m, c = mu.terms[0]
+    high = tuple((l - m, cl) for l, cl in lam.terms if l > m)
+    low = lam.terms[len(high):]
+    d = low[0][1] // c if low and low[0][0] == m else 0
+    if d and c * d == low[0][1] and mu.terms[1:] > low[1:]:
+        d -= 1
+    if not d:
+        return _cnf(high), _cnf(low)
+    return _cnf(high + ((0, d),)), sub_left(_cnf(((m, c * d),) + mu.terms[1:]), _cnf(low))
 
 
 # -- text form ---------------------------------------------------------------
-
-_TERM_RE = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")
-
 
 def format_ordinal(a: Ordinal) -> str:
     if a.is_zero:
@@ -200,24 +189,3 @@ def format_ordinal(a: Ordinal) -> str:
             head = "w" if exp == 1 else f"w^{exp}"
             parts.append(head if coeff == 1 else f"{head}*{coeff}")
     return "+".join(parts)
-
-
-def parse_ordinal(text: str) -> Ordinal:
-    s = text.replace("ω", "w").replace(" ", "")
-    if s == "0":
-        return Ordinal()
-    terms = []
-    for pos, chunk in enumerate(s.split("+")):
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise OrdinalError(f"bad ordinal term {chunk!r} in {text!r} (term {pos})")
-        if m.group(3) is not None:
-            terms.append((0, int(m.group(3))))
-        else:
-            exp = int(m.group(1)) if m.group(1) is not None else 1
-            coeff = int(m.group(2)) if m.group(2) is not None else 1
-            terms.append((exp, coeff))
-    try:
-        return Ordinal(tuple(terms))
-    except OrdinalError as err:
-        raise OrdinalError(f"{text!r}: {err}") from None

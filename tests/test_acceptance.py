@@ -17,10 +17,10 @@ from ratword import (
     factorize_structural,
     format_expr,
     is_prime_finite,
-    is_prime_rational,
     marked_expression,
     parse_expr,
     power,
+    prime_witness,
     size,
     tau,
     word_equal,
@@ -158,7 +158,7 @@ def test_criterion_5_factorization_validity():
             assert compare(u, v).rel in (Rel.GREATER, Rel.RIGHT_PREFIX), \
                 format_expr(e)
         for p, a in fact.blocks:
-            assert is_prime_rational(p), format_expr(p)
+            assert prime_witness(p) is None, format_expr(p)
             assert ONE <= a and a.terms[0][0] < omega_omega_bound
         assert word_equal(fact.reconstruct(), e)
     report(5, f"{len(corpus())} factorizations: decreasing, prime, "
@@ -213,7 +213,7 @@ def test_criterion_8_property_suites():
     for _ in range(N):
         u, v = prime_pair()
         a = rng.choice(exps)
-        assert is_prime_rational(concat([power(u, a), v]))
+        assert prime_witness(concat([power(u, a), v])) is None
 
     # when u^a v < v, also u^a v^b is prime
     checked = 0
@@ -223,7 +223,7 @@ def test_criterion_8_property_suites():
         if compare(concat([power(u, a), v]), v).rel is not Rel.LESS:
             continue
         b = rng.choice([ONE, Ordinal.from_int(2), OMEGA])
-        assert is_prime_rational(concat([power(u, a), power(v, b)]))
+        assert prime_witness(concat([power(u, a), power(v, b)])) is None
         checked += 1
 
     # combine trichotomy: one prime power with the same word
@@ -235,7 +235,7 @@ def test_criterion_8_property_suites():
         b = Ordinal.from_int(rng.randint(1, 3))
         w, g = concat_pp(u, a, v, b)
         assert word_equal(power(w, g), concat([power(u, a), power(v, b)]))
-        assert is_prime_rational(w)
+        assert prime_witness(w) is None
         if word_equal(u, v):
             assert g == a + b
         else:
@@ -248,7 +248,7 @@ def test_criterion_8_property_suites():
         y = random_finite_word(rng, 4) or "b"
         if not is_prime_finite(x + y + y):
             continue
-        assert is_prime_rational(concat([E(x), Omega(E(y))]))
+        assert prime_witness(concat([E(x), Omega(E(y))])) is None
         checked += 1
 
     # a product of >= 2 decreasing prime powers is never prime
@@ -258,7 +258,7 @@ def test_criterion_8_property_suites():
         fact = factorize_structural(E(word))
         if len(fact.blocks) < 2:
             continue
-        assert not is_prime_rational(E(word))
+        assert prime_witness(E(word)) is not None
         checked += 1
 
     # bumping a letter after a power of a prime keeps it prime
@@ -272,7 +272,7 @@ def test_criterion_8_property_suites():
         a = rng.choice([ONE, Ordinal.from_int(2), OMEGA])
         bumped = concat([power(u, a), E(word[:cut] + "b")]) \
             if cut else concat([power(u, a), E("b")])
-        assert is_prime_rational(bumped)
+        assert prime_witness(bumped) is None
         checked += 1
 
     # a leading prime power above the rest peels off unchanged
@@ -349,7 +349,7 @@ def test_criterion_10_primality_table():
     prime = ["aab", "aabab", "ab^w", "a^wb", "(a^wb)^wb"]
     not_prime = ["aba", "abab", "ba^w", "(ab)^w", "a^w"]
     for text in prime:
-        assert is_prime_rational(E(text)), text
+        assert prime_witness(E(text)) is None, text
     for text in not_prime:
-        assert not is_prime_rational(E(text)), text
+        assert prime_witness(E(text)) is not None, text
     report(10, "primality table of 10 reference words exact")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import compile_expr
 from ratword.duplication import TAU_TOKENS, depth, size, tau
-from ratword.expr import (ExprError, expr_length, format_expr, letter_at, parse_expr,
+from ratword.expr import (ExprError, expr_length, first_letters, format_expr, parse_expr,
                           prefix_to, suffix_from)
 from ratword.factorizer import factorize
 from ratword.oracles import prime_witness
@@ -69,7 +69,7 @@ def test_no_walk_recurses_on_deep_nesting(shape):
     length = expr_length(e)
     assert length == Ordinal(((DEEP, 1),) if shape == "a" else ((DEEP, 1), (0, 1)))
     assert expr_length(suffix_from(e, fin(3))) == length
-    assert letter_at(e, fin(3)) == shape[-1]
+    assert first_letters(suffix_from(e, fin(3)), 1) == shape[-1]
     assert format_expr(prefix_to(e, fin(3))) == ("aaa" if shape == "a" else "aba")
     assert compare(e, "abb").rel is compare(e, "b").rel is Rel.LESS
     assert compare("b", e).rel is Rel.GREATER
@@ -164,7 +164,7 @@ def test_drawn_deep_nestings(suffixes, core):
     length = expr_length(e)
     for gamma in (fin(0), fin(5), Ordinal(((1, 1),))):
         if gamma < length:
-            letter_at(e, gamma)
+            first_letters(suffix_from(e, gamma), 1)
             assert expr_length(suffix_from(e, gamma)) == length
             if not gamma.is_zero:
                 assert expr_length(prefix_to(e, gamma)) == gamma

@@ -14,7 +14,7 @@ import ratword.expr as expr_module
 from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
 from ratword.expr import (LETTERS, Concat, ExprError, Letter, Omega, as_finite_word, concat,
-                          expr_length, first_letters, format_expr, letter_at, omega_prefix,
+                          expr_length, first_letters, format_expr, omega_prefix,
                           parse_expr, power, prefix_to, suffix_from, word_expr)
 from ratword.factorizer import factorize
 from ratword.gen import random_expr
@@ -179,15 +179,13 @@ def test_power():
 
 
 def test_letter_at():
+    """The letter at a position is the first letter of the suffix there."""
     e = parse_expr("(a^wb)^wa^w")
-    assert letter_at(e, ZERO) == "a"
-    assert letter_at(e, fin(7)) == "a"
-    assert letter_at(e, W()) == "b"
-    assert letter_at(e, W() + fin(1)) == "a"
-    assert letter_at(e, W(1, 2)) == "b"
-    assert letter_at(e, W(2)) == "a"
+    for gamma, letter in [(ZERO, "a"), (fin(7), "a"), (W(), "b"), (W() + fin(1), "a"),
+                          (W(1, 2), "b"), (W(2), "a")]:
+        assert first_letters(suffix_from(e, gamma), 1) == letter
     with pytest.raises(ExprError):
-        letter_at(e, W(3))
+        suffix_from(e, W(3))
 
 
 def test_prefix_suffix_examples():
@@ -443,10 +441,12 @@ def test_a_late_callback_leaves_a_newer_node_in_place():
 @given(st.integers(0, 10_000), st.integers(0, 40))
 def test_first_letters_reads_letter_by_letter(seed, n):
     """first_letters(e, n) is the first n letters of e, read one position at
-    a time with letter_at; all of e when e is a shorter finite word."""
+    a time as the first letter of the suffix there; all of e when e is a
+    shorter finite word."""
     e = random_expr(random.Random(seed), max_size=10, max_depth=3, letters="abc")
     length = expr_length(e)
-    expected = "".join(letter_at(e, fin(i)) for i in range(n) if fin(i) < length)
+    expected = "".join(first_letters(suffix_from(e, fin(i)), 1)
+                       for i in range(n) if fin(i) < length)
     assert first_letters(e, n) == expected
 
 
@@ -572,7 +572,7 @@ def test_random_slicing_identity(seed):
     assert expr_length(left) == gamma
     assert word_equal(concat([left, right]), e)
     # the letter at the cut is the suffix's first letter
-    assert letter_at(e, gamma) == letter_at(right, ZERO)
+    assert first_letters(right, 1) == first_letters(suffix_from(right, ZERO), 1)
 
 
 def random_position(rng, total):

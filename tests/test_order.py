@@ -12,12 +12,12 @@ from ratword import factorizer, order, runner
 from ratword.automaton import MissingLimitError, SharpAutomaton, compile_expr
 from ratword.duplication import tau
 from ratword.expr import (Letter, Omega, as_finite_word, concat, first_letters, format_expr,
-                          letter_at, parse_expr, prefix_to)
+                          parse_expr, prefix_to, suffix_from)
 from ratword.factorizer import FactorizeError, FactorizerState, StepRecord
 from ratword.gen import random_expr
 from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compare_via_automata,
                            word_equal)
-from ratword.ordinal import Ordinal, parse_ordinal
+from ratword.ordinal import Ordinal, format_ordinal
 from ratword.runner import Trace, run_to_divergence, sync_step
 
 from helpers import random_finite_word
@@ -414,11 +414,10 @@ def test_cascading_closure_positions():
     assert trace.pairs() == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (3, 2),
                              (2, 3), (5, 5), (6, 6)]
     expected = ["0", "1", "2", "3", "w", "w+1", "w+2", "w+3", "w^2", "w^2+1"]
-    assert [trace.position(i) for i in range(len(trace))] == \
-        [parse_ordinal(p) for p in expected]
-    assert trace.position(-1) == parse_ordinal("w^2+1")
+    assert [format_ordinal(trace.position(i)) for i in range(len(trace))] == expected
+    assert format_ordinal(trace.position(-1)) == "w^2+1"
     out = compare(x, y)
-    assert out.rel is Rel.RIGHT_PREFIX and out.position == parse_ordinal("w^2+1")
+    assert out.rel is Rel.RIGHT_PREFIX and format_ordinal(out.position) == "w^2+1"
 
 
 def test_reset_trace_reruns_as_a_fresh_one():
@@ -606,8 +605,11 @@ def reference_marking(auto):
     """The marking loop as written before a candidate's run took one
     sync_step call: one reference_step per iteration, the n^3 budget checked
     before each step, the log kept step by step, and a fresh trace and sharp
-    built for every candidate.  Returns the state and the number of steps
-    that closed more than one loop."""
+    built for every candidate.  It keeps the set of states the main run has
+    visited since the main cut i, and checks at every stop the premise of
+    factorize_states, which keeps none: the set is every state from i to
+    its greatest, and a 2a target is one past that.  Returns the state and
+    the number of steps that closed more than one loop."""
     n = auto.n
     q_main, q_secondary = {0}, set()
     log = []
@@ -636,11 +638,13 @@ def reference_marking(auto):
         elif outcome[1] is None:
             raise FactorizeError("sharp automaton has no final state; cannot end")
         else:
+            assert seen_left == set(range(i, max(seen_left) + 1))
             k = history._lefts[-1]
             a, b = outcome
             if a is not None and a > b:
                 _, target = auto.succ[k]
                 if target not in seen_left:
+                    assert target == max(seen_left) + 1
                     case = "2a"
                     j = target
                 else:
@@ -738,7 +742,8 @@ def test_divergence_position_reads_the_letters(seed):
         return
     a, b = out.letters
     p = out.position
-    assert letter_at(x, p) == a and letter_at(y, p) == b
+    assert first_letters(suffix_from(x, p), 1) == a
+    assert first_letters(suffix_from(y, p), 1) == b
     if not p.is_zero:
         assert word_equal(prefix_to(x, p), prefix_to(y, p))
 
