@@ -163,7 +163,6 @@ class SharpAutomaton:
 
     def __init__(self, base: SingleWordAutomaton, i: int, j: int):
         self.base = base
-        self.n = base.n
         self.table = base.table
         self.retarget(i, j)
 

@@ -3,8 +3,9 @@
 Factorizations of subexpressions are merged at their boundary (adjacent
 non-decreasing prime powers always combine into one), and an w-power is
 factorized by rotating its body's prime powers until one prime covers the
-whole cycle.  It never runs the marking algorithm, which it cross-checks.
-A compare of two transfinite primes reads their w-prefixes, which every
+whole cycle; as the body's blocks are a factorization, the rotation merges
+only at the front and across the wrap.  It never runs the marking
+algorithm, which it cross-checks.  A compare of two transfinite primes reads their w-prefixes, which every
 w-power keeps once found; only primes that agree on their first w letters
 and are not one node run the product of their compiled automata in
 `runner`, as the marking algorithm's steps do.
@@ -96,35 +97,28 @@ def circular_fact(blocks: list[tuple[Prime, Ordinal]]) -> tuple[int, Prime, Ordi
     """Rotate a cyclic sequence of prime powers into a single prime power.
 
     Returns (k, v, beta) with v^beta the product of blocks k+1..n, 1..k;
-    v <=lex the k-th prime, which fact_omega checks.  Cyclically adjacent
-    non-decreasing neighbours are merged until one block remains; merging
-    across the wrap moves the start.
+    v <=lex the k-th prime, which fact_omega checks.  The blocks must be a
+    factorization: then no two neighbours merge, so only the front block,
+    which grows by each merge, can merge, with the block after it or, across
+    the wrap, with the block before it.  Each step takes up one block, with
+    at most two merge decisions.
     """
-    n = len(blocks)
-    if n == 0:
+    if not blocks:
         raise StructuralError("no blocks to rotate")
-    # carry original 1-based start positions so k can be recovered at the end
-    ring: list[tuple[int, tuple[Prime, Ordinal]]] = list(enumerate(blocks, 1))
-    guard = n * n + n + 1
-    while len(ring) > 1:
-        guard -= 1
-        if guard < 0:
-            raise StructuralError("rotation failed to converge")
-        for pos in range(len(ring)):
-            nxt = (pos + 1) % len(ring)
-            start, x = ring[pos]
-            merged = _merge(x, ring[nxt][1])
-            if merged is not None:
-                if nxt == 0:
-                    # merged across the wrap: the merged block now leads
-                    ring = [(start, merged)] + ring[1:pos]
-                else:
-                    ring[pos:nxt + 1] = [(start, merged)]
-                break
+    # the front is blocks hi+1..n, 1..lo (1-based), so k = hi at the end
+    front, lo, hi = blocks[0], 1, len(blocks)
+    while lo < hi:
+        merged = _merge(front, blocks[lo])
+        if merged is not None:
+            lo += 1
         else:
-            raise StructuralError("strictly decreasing cycle is impossible")
-    start, (v, beta) = ring[0]
-    return (start - 1 if start > 1 else n), v, beta
+            hi -= 1
+            merged = _merge(blocks[hi], front)
+            if merged is None:
+                raise StructuralError("strictly decreasing cycle is impossible")
+        front = merged
+    v, beta = front
+    return hi, v, beta
 
 
 def fact_omega(blocks: list[tuple[Prime, Ordinal]]) -> list[tuple[Prime, Ordinal]]:

@@ -303,6 +303,40 @@ def test_finite_word_costs_at_most_two_compares_per_letter(word):
 
 
 @st.composite
+def expression_texts(draw):
+    """The text of a random_expr draw of size up to 16 and depth up to 4."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return format_expr(random_expr(rng, max_size=16, max_depth=4,
+                                   letters=draw(st.sampled_from(["ab", "abc", "abcd"]))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(expression_texts())
+@example("cabcbbccaaccccbabcaacabbaaca")  # 8 decisions against the bound 10
+def test_rotation_costs_at_most_two_merge_decisions_per_block(text):
+    """Cost law of the rotation: on a factorization of k blocks,
+    circular_fact decides at most 2(k - 1) merges.  No two neighbours of a
+    factorization merge, so each step tries only the front block with the
+    block after it and the block before it across the wrap, and takes up
+    one of them.  A rescan of every pair after each merge made 15 decisions
+    on the 6 blocks of the example."""
+    blocks = factorize_structural(E(text)).blocks
+    merge, calls = structural._merge, 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return merge(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structural, "_merge", counting)
+        circular_fact(list(blocks))
+    assert calls <= 2 * (len(blocks) - 1)
+    if text == "cabcbbccaaccccbabcaacabbaaca":
+        assert (len(blocks), calls) == (6, 8)
+
+
+@st.composite
 def str_pairs(draw):
     """Two non-empty strs over ab, abc or any characters; the second is
     often the first extended, or a proper prefix of it, or equal to it."""
