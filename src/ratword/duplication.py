@@ -17,7 +17,13 @@ class TokenBudgetError(ExprError):
 def tau(e: RatExpr) -> RatExpr:
     """The duplicated expression, which shares each duplicated body.  Its
     tokens are counted in the same walk, so a blow-up stops at the level
-    that passes TAU_TOKENS, with a TokenBudgetError."""
+    that passes TAU_TOKENS, with a TokenBudgetError.  A word with no
+    w-power is its own duplicate, and its tokens are its letters."""
+    word = e.finite_word
+    if word is not None:
+        if len(word) > TAU_TOKENS:
+            raise TokenBudgetError(f"duplicated expression exceeds {TAU_TOKENS} tokens")
+        return e
 
     def visit(node: RatExpr, kids: list[tuple[RatExpr, int]]) -> tuple[RatExpr, int]:
         kind = type(node)

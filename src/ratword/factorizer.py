@@ -11,21 +11,22 @@ or the word ends).  As in Duval's algorithm, no record of the visited
 states is kept.  Main cuts end up in q_main, boundaries between copies of
 one prime in q_secondary.
 
-The equal-letter steps (1a, and the loop closures 1b/1c) of one candidate
-are one product run: a single `sync_step` call per candidate, the start
-and each 2a/2b/3 restart, runs them to the step that decides.  One trace
-and one sharp serve every candidate of an input: a restart resets the
-trace and retargets the sharp in place, since a finite word makes about
-one candidate per letter and most runs are a step or two.  With keep_log
-the records of those steps are rebuilt from the finished trace."""
+A candidate (the start and each 2a/2b/3 restart) whose first letters
+differ, the letter leaving the main state j against the letter leaving the
+cut i, stops at its first step, decided from those two letters alone: as
+in Duval's algorithm on a finite word, most candidates end so.  The equal-letter steps (1a, and the loop closures 1b/1c) of any
+other candidate are one product run: a single `sync_step` call runs them to
+the step that decides.  One trace and one sharp serve every such run of an
+input, reset and retargeted in place before it.  With keep_log the records
+of those steps are rebuilt from the finished trace."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .automaton import (SharpAutomaton, SingleWordAutomaton, compile_expr,
-                        expr_of_range, render_tokens)
+from .automaton import (AutomatonError, SharpAutomaton, SingleWordAutomaton,
+                        compile_expr, expr_of_range, render_tokens)
 from .duplication import tau
 from .expr import Letter, RatExpr, concat, expr_length, format_expr, power
 from .order import word_equal
@@ -91,9 +92,10 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
 
     # The main run has visited exactly the states i..top since the main cut
     # i, and every run starts at top + 1:
-    # - i lies outside every loop (`SharpAutomaton.retarget` refuses any
-    #   other i), so token i is a letter, since an w-token tops its own loop,
-    #   and no back edge taken after i lands at or below i;
+    # - i lies outside every loop (each main cut refuses any other i, as
+    #   `SharpAutomaton.retarget` does), so token i is a letter, since an
+    #   w-token tops its own loop, and no back edge taken after i lands at
+    #   or below i;
     # - a successor goes at most one state up, and a limit at most one past
     #   the states it collapsed.
     # So when a run ends, top = max(lefts).  A 2a target, the successor of
@@ -105,42 +107,55 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
     history = Trace((j, i))
     lefts = history._lefts
     sharp = SharpAutomaton(auto, i, j)
+    table = auto.table
     while True:
         if keep_log:
-            log.append(StepRecord(case, tuple(history.pairs())))
-        a, b = sync_step(auto, sharp, history)
-        # every entry after the first is one 1a/1b/1c step, and one more
-        # step read the stop.  Every letter adds a new pair, so every run
-        # ends, and a budget checked after each run refuses the same inputs
-        # as one checked before each step.
-        steps += len(lefts)
+            log.append(StepRecord(case, ((j, i),)))
+        # the run's first step reads the letter leaving j (None at n) and
+        # the letter leaving i: a candidate whose first letters differ stops
+        # there, with the one pair (j, i), and needs no trace or sharp
+        step = table[j]
+        a, b = None if step is None else step[0], table[i][0]
+        ran = a == b
+        if ran:
+            history.reset((j, i))
+            sharp.retarget(i, j)
+            a, b = sync_step(auto, sharp, history)
+            # every entry after the first is one 1a/1b/1c step, and one
+            # more step read the stop.  Every letter adds a new pair, so
+            # every run ends, and a budget checked after each run refuses
+            # the same inputs as one checked before each step.
+            steps += len(lefts)
+            if keep_log:
+                log += _run_records(history, j)
+            k, top = lefts[-1], max(lefts)
+        else:
+            steps += 1
+            k = top = j
         if steps > budget:
             raise FactorizeError(f"exceeded step budget n^3 = {budget}")
-        if keep_log:
-            log += _run_records(history, j)
         if b is None:
             raise FactorizeError("sharp automaton has no final state; cannot end")
-        top = max(lefts)
         if a is not None and a > b:
             # the suffix at j is larger: extend the candidate prefix past
             # the furthest state the main run has reached
-            case = "2a" if auto.succ[lefts[-1]][1] > top else "2b"
+            case = "2a" if auto.succ[k][1] > top else "2b"
         else:
             # smaller letter (or end of word): close the block of copies of
             # the prime cut at j
-            added = history.lefts_paired_with(j)
+            added = history.lefts_paired_with(j) if ran else set()
             added.add(j)
+            if keep_log:
+                log.append(StepRecord("3", tuple(history.pairs()) if ran else ((j, i),)))
             i = top = max(added)
             q_secondary |= added - {top}
             q_main.add(top)
-            if keep_log:
-                log.append(StepRecord("3", tuple(history.pairs())))
             if i == n:
                 break
+            if auto.in_loop[i]:
+                raise AutomatonError(f"state {i} lies inside a loop")
             case = "init"
         j = top + 1
-        history.reset((j, i))
-        sharp.retarget(i, j)
 
     return FactorizerState(auto, q_main, q_secondary, steps, log)
 

@@ -1,9 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
-from ratword.duplication import depth, size, tau
-from ratword.expr import Omega, format_expr, parse_expr
+from ratword.duplication import TokenBudgetError, depth, size, tau
+from ratword.expr import Letter, Omega, format_expr, parse_expr
 from ratword.gen import random_expr
 from ratword.order import word_equal
 
@@ -47,3 +48,16 @@ def test_tau_preserves_word(seed):
     rng = random.Random(seed)
     e = random_expr(rng, max_size=7, max_depth=2, letters="ab")
     assert word_equal(tau(e), e)
+
+
+def test_tau_passes_an_omega_free_word_through():
+    """An w-free word is its own duplicate: tau returns the node itself, up
+    to TAU_TOKENS letters, and refuses one letter more, as the fold does."""
+    rng = random.Random(3)
+    words = [random_expr(rng, max_size=12, max_depth=0, letters="abc") for _ in range(200)]
+    for e in words + [Letter("a")]:
+        assert tau(e) is e
+    e = parse_expr("ab" * 2 ** 17)
+    assert tau(e) is e
+    with pytest.raises(TokenBudgetError, match="exceeds 262144 tokens"):
+        tau(parse_expr("ab" * 2 ** 17 + "a"))

@@ -13,7 +13,8 @@ from ratword import (
     parse_expr,
     word_equal,
 )
-from ratword.factorizer import FactorizeError
+from ratword.automaton import AutomatonError
+from ratword.factorizer import FactorizeError, factorize_states
 from ratword.gen import random_expr
 
 
@@ -91,6 +92,15 @@ def test_step_budget_cubic():
         e = random_expr(rng, max_size=10, max_depth=3, letters="abc")
         _, state, _ = factorize(e)
         assert state.steps <= state.automaton.n ** 3
+
+
+def test_main_cut_inside_a_loop_is_refused():
+    """A main cut must lie outside every loop, as the sharp on it requires.
+    On the automaton of (ba)^w, not duplicated, the first candidate reads a
+    against b and cuts at state 1, inside the loop, with no product run:
+    the cut itself refuses it."""
+    with pytest.raises(AutomatonError, match="state 1 lies inside a loop"):
+        factorize_states(compile_expr(parse_expr("(ba)^w")))
 
 
 def test_extract_requires_exact_division():

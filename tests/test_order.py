@@ -728,6 +728,38 @@ def test_marking_matches_the_step_by_step_loop():
     compile_expr.cache_clear()
 
 
+def test_marking_runs_only_candidates_whose_first_letters_agree(monkeypatch):
+    """factorize_states decides a candidate whose first letters differ
+    without a product run: no sync_step call on ab^300, whose candidates all
+    restart with 2a, nor on a strictly descending word, whose candidates all
+    cut.  On 40 random abc words it makes one call per candidate whose
+    first step is an equal-letter step of the step-by-step loop, the step
+    whose record holds two pairs."""
+    calls = 0
+
+    def counting(left, right, trace):
+        nonlocal calls
+        calls += 1
+        return sync_step(left, right, trace)
+
+    monkeypatch.setattr(factorizer, "sync_step", counting)
+    for text in ["a" + "b" * 300, "dcba"]:
+        factorizer.factorize_states(compile_expr(tau(parse_expr(text))))
+        assert calls == 0, text
+    rng = random.Random(23)
+    agreeing = 0
+    for _ in range(40):
+        auto = compile_expr(parse_expr(random_finite_word(rng, 400, "abc")))
+        expected, _ = reference_marking(auto)
+        first = sum(r.case in ("1a", "1b", "1c") and len(r.history) == 2 for r in expected.log)
+        calls = 0
+        assert factorizer.factorize_states(auto).steps == expected.steps
+        assert calls == first
+        agreeing += first
+    assert agreeing > 1000
+    compile_expr.cache_clear()
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.integers(0, 10_000))
 def test_divergence_position_reads_the_letters(seed):
