@@ -57,24 +57,26 @@ class SingleWordAutomaton:
         self.n = len(self.succ)
         self.nodes = tuple(nodes)
         self.table = self.succ + (None,)
+        self._spans = spans = []         # (lo, hi) for each back edge hi -> lo
         for s, (_, target) in enumerate(self.succ):
-            if target > s + 1:
+            if target <= s:
+                spans.append((target, s))
+            elif target > s + 1:
                 raise AutomatonError(f"successor {s}->{target} skips ahead")
 
     @cached_property
     def limits(self) -> dict[tuple[int, int], int]:
         """(lo, hi) -> hi + 1 for each back edge hi -> lo."""
-        return {(lo, hi): hi + 1 for hi, (_, lo) in enumerate(self.succ) if lo <= hi}
+        return {(lo, hi): hi + 1 for lo, hi in self._spans}
 
     @cached_property
     def in_loop(self) -> bytes:
         """in_loop[s] is nonzero when state s lies in some limit interval."""
         depth = [0] * (self.n + 2)
-        for hi, (_, lo) in enumerate(self.succ):
-            if lo <= hi:
-                depth[lo] += 1
-                depth[hi + 1] -= 1
-        return bytes(d > 0 for d in accumulate(depth[:-1]))
+        for lo, hi in self._spans:
+            depth[lo] += 1
+            depth[hi + 1] -= 1
+        return bytes(map((0).__lt__, accumulate(depth[:-1])))
 
     def limit_target(self, hi: int) -> int:
         """The target of the limit transition taken when the loop topped by
@@ -140,10 +142,9 @@ def validate(auto: SingleWordAutomaton) -> list[str]:
             enclosing.append((lo, hi))
     if 0 in entering:
         problems.append("state 0 is entered by a transition")
+    # token s - 1 steps to s or, an w-token, has the limit that enters s
     for s in range(1, n + 1):
-        ways = entering.get(s, [])
-        if not ways:
-            problems.append(f"state {s} unreachable")
+        ways = entering[s]
         kinds = {k for k, _ in ways}
         if kinds == {"succ", "limit"}:
             problems.append(f"state {s} entered by both successor and limit transitions")

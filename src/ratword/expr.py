@@ -358,14 +358,6 @@ def as_finite_word(e: RatExpr) -> str | None:
     return e.finite_word
 
 
-def word_expr(word: str) -> RatExpr:
-    """The expression of a non-empty finite word: its shared Letter, or a
-    flat Concat of shared Letters, as `concat` and `power` build it."""
-    if len(word) == 1:
-        return Letter(word)
-    return Concat(tuple(map(Letter, word)))
-
-
 def omega_prefix(e: RatExpr) -> tuple[str, str]:
     """(u, p) with u p^w the first w letters of e, for e containing an
     w-power.  A loop down the left spine: the letters before a Concat's

@@ -189,8 +189,8 @@ def extract_factorization(auto: SingleWordAutomaton, q_main: set[int],
             blocks.append((expr_of_range(auto, lo, hi), ONE))
             continue
         prime = expr_of_range(auto, lo, secondaries[k])
-        # both ranges are made of the expression's own, shared subtrees,
-        # whose lengths expr_length has cached
+        # an expr_length miss folds the whole range; only a range asked
+        # for before is a hit
         block_len = expr_length(expr_of_range(auto, lo, hi))
         alpha, rest = div_left(block_len, expr_length(prime))
         if not rest.is_zero:

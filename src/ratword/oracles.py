@@ -7,7 +7,7 @@ from .automaton import compile_expr, suffix_word
 from .expr import RatExpr, as_finite_word, expr_length, power, prefix_to
 from .order import word_equal
 from .ordinal import ONE, Ordinal, div_left
-from .runner import Trace, sync_step
+from .runner import Trace, run_to_divergence, sync_step
 
 
 def duval_factorize(word: str) -> list[str]:
@@ -39,30 +39,24 @@ def primitive_root(e: RatExpr) -> tuple[RatExpr, Ordinal]:
     Candidate roots are prefixes whose length divides |e| on the left:
     finite divisors of the leading coefficient, plus the length of the
     prefix read until the compiled automaton first reaches each state: the
-    position of (s, s) in one run of the automaton against itself."""
+    position of (s, s) in one run of the automaton against itself.  They
+    are tried shortest first, so the first that works is the root."""
     length = expr_length(e)
     lead_exp, lead_coeff = length.terms[0]
-    candidates = [Ordinal(((lead_exp, lead_coeff // d),) + length.terms[1:])
-                  for d in range(2, lead_coeff + 1) if lead_coeff % d == 0]
+    candidates = {Ordinal(((lead_exp, lead_coeff // d),) + length.terms[1:])
+                  for d in range(2, lead_coeff + 1) if lead_coeff % d == 0}
     auto = compile_expr(e)
-    trace = Trace((0, 0))
-    sync_step(auto, auto, trace)
-    candidates += [trace.position(trace._index[(s, s)]) for s in range(1, auto.n)]
-
-    best: tuple[Ordinal, RatExpr, Ordinal] | None = None
-    for cand in candidates:
-        if cand.is_zero or cand >= length:
-            continue
+    trace, _ = run_to_divergence(auto, auto)
+    candidates.update(trace.position(trace._index[(s, s)]) for s in range(1, auto.n))
+    # every candidate is a proper prefix's length, so a division with no
+    # remainder has alpha >= 2
+    for cand in sorted(candidates):
         alpha, rest = div_left(length, cand)
-        if not rest.is_zero or alpha < Ordinal.from_int(2):
-            continue
-        root = prefix_to(e, cand)
-        if word_equal(power(root, alpha), e):
-            if best is None or cand < best[0]:
-                best = (cand, root, alpha)
-    if best is None:
-        return e, ONE
-    return best[1], best[2]
+        if rest.is_zero:
+            root = prefix_to(e, cand)
+            if word_equal(power(root, alpha), e):
+                return root, alpha
+    return e, ONE
 
 
 def prime_witness(e: RatExpr) -> tuple | None:

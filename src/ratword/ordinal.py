@@ -80,16 +80,7 @@ class Ordinal:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Ordinal") -> "Ordinal":
-        if not other.terms:
-            return self
-        lead = other.terms[0][0]
-        kept = tuple(t for t in self.terms if t[0] > lead)
-        merged = list(other.terms)
-        for exp, coeff in self.terms:
-            if exp == lead:
-                merged[0] = (lead, coeff + merged[0][1])
-                break
-        return _cnf(kept + tuple(merged))
+        return ordinal_sum((self, other))
 
     def __mul__(self, other: "Ordinal") -> "Ordinal":
         if not self.terms or not other.terms:

@@ -23,7 +23,7 @@ form; given expressions only, they return expressions only."""
 from __future__ import annotations
 
 from .expr import (Concat, Letter, Omega, RatExpr, as_finite_word, concat, fold,
-                   format_expr, power, word_expr)
+                   format_expr, power)
 from .factorizer import Factorization
 from .order import CompareOutcome, compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
@@ -36,7 +36,7 @@ class StructuralError(RuntimeError):
 
 
 def _expr(p: Prime) -> RatExpr:
-    return word_expr(p) if type(p) is str else p
+    return concat(map(Letter, p)) if type(p) is str else p
 
 
 def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,

@@ -15,6 +15,7 @@ from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import OMEGA, ONE, ZERO, Ordinal, sub_left
 
+from helpers import random_finite_word
 from test_order import interval_limit
 
 W = Ordinal.omega
@@ -102,22 +103,26 @@ def test_construction_refuses_transitions_that_skip_ahead():
         SingleWordAutomaton([("a", 1), ("a", 3), ("a", 3)], ())
 
 
-@pytest.mark.parametrize("limits, crossing", [
+CROSSING = [
     ([(1, 4), (3, 6)], "[1,4] and [3,6]"),
     ([(1, 8), (2, 3), (5, 9)], "[1,8] and [5,9]"),
     ([(1, 2), (2, 5), (6, 7)], "[1,2] and [2,5]"),
-])
+]
+NESTED_OR_DISJOINT = [
+    [(1, 6), (2, 3), (5, 5)],          # two nested in one
+    [(1, 4), (1, 2)],                  # nested with a shared start
+    [(1, 2), (4, 5)],                  # disjoint
+    [(1, 8), (2, 5), (3, 3), (7, 7)],  # nested three deep, then disjoint
+]
+
+
+@pytest.mark.parametrize("limits, crossing", CROSSING)
 def test_validate_crossing_limits(limits, crossing):
     overlaps = [p for p in validate(_looped(limits)) if "overlap" in p]
     assert overlaps == [f"limit intervals {crossing} overlap"]
 
 
-@pytest.mark.parametrize("limits", [
-    [(1, 6), (2, 3), (5, 5)],          # two nested in one
-    [(1, 4), (1, 2)],                  # nested with a shared start
-    [(1, 2), (4, 5)],                  # disjoint
-    [(1, 8), (2, 5), (3, 3), (7, 7)],  # nested three deep, then disjoint
-])
+@pytest.mark.parametrize("limits", NESTED_OR_DISJOINT)
 def test_validate_nested_or_disjoint_limits(limits):
     assert validate(_looped(limits)) == []
 
@@ -206,6 +211,31 @@ def test_limits_are_the_back_edges():
         assert validate(auto) == []
         omegas += len(auto.limits)
     assert omegas > 4000
+    compile_expr.cache_clear()
+
+
+def test_in_loop_and_limits_match_the_back_edges():
+    """in_loop and limits against their definitions, read off succ: state s
+    is inside a loop when lo <= s <= hi for some back edge hi -> lo, and
+    each back edge gives the limit (lo, hi) -> hi + 1.  On 1,000
+    random_expr draws and their tau, on 300 random finite words, whose
+    table is n + 1 zero bytes, and on the hand-built automata above."""
+    rng = random.Random(24)
+    draws = [random_expr(rng, max_size=16, max_depth=4, letters="abcd") for _ in range(1000)]
+    autos = [compile_expr(x) for e in draws for x in (e, tau(e))]
+    autos += map(_looped, [limits for limits, _ in CROSSING] + NESTED_OR_DISJOINT)
+    for _ in range(300):
+        auto = compile_expr(parse_expr(random_finite_word(rng, 60, "abc")))
+        assert (auto.in_loop, auto.limits) == (bytes(auto.n + 1), {})
+        autos.append(auto)
+    inside = 0
+    for auto in autos:
+        spans = [(lo, hi) for hi, (_, lo) in enumerate(auto.succ) if lo <= hi]
+        assert auto.limits == {(lo, hi): hi + 1 for lo, hi in spans}
+        assert auto.in_loop == bytes(any(lo <= s <= hi for lo, hi in spans)
+                                     for s in range(auto.n + 1))
+        inside += sum(auto.in_loop)
+    assert inside > 10_000
     compile_expr.cache_clear()
 
 

@@ -15,7 +15,7 @@ from ratword.automaton import compile_expr, expr_of_range
 from ratword.duplication import tau
 from ratword.expr import (LETTERS, Concat, ExprError, Letter, Omega, as_finite_word, concat,
                           expr_length, first_letters, format_expr, omega_prefix,
-                          parse_expr, power, prefix_to, suffix_from, word_expr)
+                          parse_expr, power, prefix_to, suffix_from)
 from ratword.factorizer import factorize
 from ratword.gen import random_expr
 from ratword.order import word_equal
@@ -534,10 +534,10 @@ def test_omega_prefix_memo_is_not_a_field(seed):
                 assert omega_prefix(fresh) == omega_prefix(x)
 
 
-def test_word_expr_builds_what_concat_builds():
+def test_concat_of_letters_builds_the_parsed_word():
     for word in ["a", "ab", "bba", "abcabc"]:
-        e = word_expr(word)
-        assert e == parse_expr(word) and repr(e) == repr(parse_expr(word))
+        e = concat(map(Letter, word))
+        assert e is parse_expr(word) and repr(e) == repr(parse_expr(word))
         parts = (e,) if len(word) == 1 else e.parts
         assert all(p is Letter(p.sym) for p in parts)
 

@@ -18,7 +18,7 @@ from ratword import (
 )
 from ratword.automaton import compile_expr, expr_of_range, suffix_word
 from ratword.duplication import tau
-from ratword.expr import as_finite_word, expr_length
+from ratword.expr import as_finite_word, expr_length, format_expr
 from ratword.order import Rel, compare
 from ratword.ordinal import ONE, OMEGA, Ordinal
 from ratword.gen import random_expr
@@ -72,6 +72,16 @@ def test_primitive_root_examples():
     assert word_equal(root, E("a")) and alpha == OMEGA
     root, alpha = primitive_root(E("aabab"))
     assert word_equal(root, E("aabab")) and alpha == ONE
+
+
+def test_primitive_root_is_the_shortest_root_that_works():
+    """Candidate order is not length order: the divisor candidates of
+    abababab come as lengths 4, 2, 1, and (ab)^w(ab)^w's divisor w comes
+    before its self-run lengths 1, 2, ...  The root is the shortest."""
+    root, alpha = primitive_root(E("abababab"))
+    assert (format_expr(root), alpha) == ("ab", Ordinal.from_int(4))
+    root, alpha = primitive_root(E("(ab)^w(ab)^w"))
+    assert (format_expr(root), alpha) == ("ab", Ordinal.omega(1, 2))
 
 
 # Proper powers whose root is transfinite and ends after an inner limit; the

@@ -706,10 +706,11 @@ def marking_automata():
 
 
 def test_marking_matches_the_step_by_step_loop():
-    """factorize_states, one sync_step call per candidate on one trace and
-    sharp reset at each restart, with the log rebuilt from each finished
-    trace, gives the step-by-step loop's steps, marked states and log
-    records on every automaton, with and without the log."""
+    """factorize_states, which decides a candidate whose first letters
+    differ at once and makes one sync_step call for each other candidate,
+    on one trace and sharp reset at each restart, with the log rebuilt from
+    each finished trace, gives the step-by-step loop's steps, marked states
+    and log records on every automaton, with and without the log."""
     cases = Counter()
     cascaded = 0
     for auto in marking_automata():
