@@ -47,7 +47,15 @@ class SingleWordAutomaton:
     The product run reads transitions from `table`, succ with None for the
     final state, a tuple that every `SharpAutomaton` on this automaton
     shares.  A sharp redirects its state `jump` to the edge `back`; here no
-    state is redirected."""
+    state is redirected.
+
+    A run of this automaton against itself, or against a sharp on it,
+    crosses a diagonal stretch in one step (see `runner.Trace`).  It
+    compares tokens by their nodes: expressions are hash-consed, so two
+    tokens that are one node read one letter and lead alike, a letter one
+    state up and an w-token back by its body's token count less one.  It
+    reads the back edges hi -> lo, by increasing hi, from `loop_tops` and
+    `loop_lows`."""
     initial = 0
     jump = -1
     back = None
@@ -57,23 +65,27 @@ class SingleWordAutomaton:
         self.n = len(self.succ)
         self.nodes = tuple(nodes)
         self.table = self.succ + (None,)
-        self._spans = spans = []         # (lo, hi) for each back edge hi -> lo
+        self.loop_tops = tops = []       # hi, for each back edge hi -> lo
+        self.loop_lows = lows = []       # its lo
         for s, (_, target) in enumerate(self.succ):
             if target <= s:
-                spans.append((target, s))
+                if target < 0:
+                    raise AutomatonError(f"successor {s}->{target} leaves the states")
+                tops.append(s)
+                lows.append(target)
             elif target > s + 1:
                 raise AutomatonError(f"successor {s}->{target} skips ahead")
 
     @cached_property
     def limits(self) -> dict[tuple[int, int], int]:
         """(lo, hi) -> hi + 1 for each back edge hi -> lo."""
-        return {(lo, hi): hi + 1 for lo, hi in self._spans}
+        return {(lo, hi): hi + 1 for lo, hi in zip(self.loop_lows, self.loop_tops)}
 
     @cached_property
     def in_loop(self) -> bytes:
         """in_loop[s] is nonzero when state s lies in some limit interval."""
         depth = [0] * (self.n + 2)
-        for lo, hi in self._spans:
+        for lo, hi in zip(self.loop_lows, self.loop_tops):
             depth[lo] += 1
             depth[hi + 1] -= 1
         return bytes(map((0).__lt__, accumulate(depth[:-1])))
@@ -117,15 +129,13 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
 
 def validate(auto: SingleWordAutomaton) -> list[str]:
     """Structural sanity report; empty list means well-formed.  A debug
-    check: compile_expr does not run it.  That no transition skips ahead is
-    checked when the automaton is built, and the limits are read off the
-    back edges, so each is well-formed."""
+    check: compile_expr does not run it.  That no transition skips ahead or
+    leaves the states is checked when the automaton is built, and the limits
+    are read off the back edges, so each is well-formed."""
     problems = []
     n = auto.n
     entering: dict[int, list[tuple[str, str]]] = {}
     for s, (letter, target) in enumerate(auto.succ):
-        if target < 1:
-            problems.append(f"successor {s}->{target} leaves the states")
         entering.setdefault(target, []).append(("succ", letter))
     for target in auto.limits.values():
         entering.setdefault(target, []).append(("limit", ""))
@@ -160,11 +170,13 @@ class SharpAutomaton:
     {i+1,...,j} -> j.  With j = i+1 this degenerates to the one-letter loop.
     Requires i outside every loop, so that a loop through j is the whole
     interval i+1..j.  The transitions are the base's `table`, shared, with
-    state j redirected (`jump`) to the added edge (`back`)."""
+    state j redirected (`jump`) to the added edge (`back`).  A diagonal
+    stretch stops before j, so it reads the base's nodes and back edges."""
 
     def __init__(self, base: SingleWordAutomaton, i: int, j: int):
         self.base = base
         self.table = base.table
+        self.nodes, self.loop_tops, self.loop_lows = base.nodes, base.loop_tops, base.loop_lows
         self.retarget(i, j)
 
     def retarget(self, i: int, j: int) -> None:

@@ -47,7 +47,7 @@ def primitive_root(e: RatExpr) -> tuple[RatExpr, Ordinal]:
                   for d in range(2, lead_coeff + 1) if lead_coeff % d == 0}
     auto = compile_expr(e)
     trace, _ = run_to_divergence(auto, auto)
-    candidates.update(trace.position(trace._index[(s, s)]) for s in range(1, auto.n))
+    candidates.update(trace.position(trace.entry((s, s))) for s in range(1, auto.n))
     # every candidate is a proper prefix's length, so a division with no
     # remainder has alpha >= 2
     for cand in sorted(candidates):

@@ -103,6 +103,23 @@ def test_construction_refuses_transitions_that_skip_ahead():
         SingleWordAutomaton([("a", 1), ("a", 3), ("a", 3)], ())
 
 
+def test_construction_refuses_targets_below_state_zero():
+    """A negative target would leave the states; before construction
+    refused it, in_loop read [0, 0] for the interval [-1, 0] that a back
+    edge 0 -> -1 names."""
+    with pytest.raises(AutomatonError, match=re.escape("successor 0->-1 leaves the states")):
+        SingleWordAutomaton([("a", -1)], ())
+    with pytest.raises(AutomatonError, match=re.escape("successor 2->-3 leaves the states")):
+        SingleWordAutomaton([("a", 1), ("b", 2), ("a", -3)], ())
+
+
+def test_validate_reports_a_transition_into_state_zero_once():
+    """State 0 is a state: a transition into it is reported once, as
+    entering state 0, and not as leaving the states."""
+    assert validate(SingleWordAutomaton([("a", 0), ("b", 2)], ())) == \
+        ["state 0 is entered by a transition"]
+
+
 CROSSING = [
     ([(1, 4), (3, 6)], "[1,4] and [3,6]"),
     ([(1, 8), (2, 3), (5, 9)], "[1,8] and [5,9]"),

@@ -346,3 +346,20 @@ def test_missing_limit_exit_code(capsys, monkeypatch, lookup, message):
     monkeypatch.setattr(cli, "factorize", lambda *args, **kwargs: lookup())
     code, out, err = run(capsys, "factorize", "(bba)^w")
     assert (code, out, err) == (2, "", f"invariant failure: {message}\n")
+
+
+def test_depth_16_tower_at_the_token_budget(capsys):
+    """The depth-16 tower ((...((ac)^wa)^wb...)^wc)^wa duplicates to 262,142
+    tokens, just under TAU_TOKENS; both engines agree on its three factors,
+    and its marking takes 262,210 steps, most of them crossed in diagonal
+    stretches."""
+    text = "ac"
+    for letter in "abcabcabcabcabca":
+        text = f"({text})^w{letter}"
+    code, out, _ = run(capsys, "factorize", "--engine", "both", "--json", text)
+    assert code == 0
+    record = json.loads(out)
+    assert (record["states"], record["steps"], len(record["factors"])) == (262_143, 262_210, 3)
+    assert [f["exponent"] for f in record["factors"]] == ["w", "w", "1"]
+    compile_expr.cache_clear()
+

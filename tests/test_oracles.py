@@ -128,7 +128,7 @@ def test_primitive_root_candidates_are_the_prefix_lengths():
         trace = Trace((0, 0))
         sync_step(auto, auto, trace)
         for s in range(1, auto.n):
-            assert trace.position(trace._index[(s, s)]) == \
+            assert trace.position(trace.entry((s, s))) == \
                 expr_length(expr_of_range(auto, 0, s))
 
 

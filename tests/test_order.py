@@ -398,7 +398,24 @@ def reference_run(left, right, trace):
     return out
 
 
-TRACE_FIELDS = ("_lefts", "_rights", "_index", "_limit_at", "_cascades")
+TRACE_FIELDS = ("_lefts", "_rights", "_limit_at", "_cascades")
+
+
+def assert_same_trace(trace, reference):
+    """trace holds the reference's entries, limit entries and cascades, and
+    its one entry lookup gives the reference's index on every pair the
+    reference holds.  Its step-by-step index and its stretches together
+    hold as many pairs as the reference's index, so no other pair."""
+    for name in TRACE_FIELDS:
+        assert getattr(trace, name) == getattr(reference, name), name
+    for pair, idx in reference._index.items():
+        assert trace.entry(pair) == idx, pair
+    assert len(trace._index) + stretched(trace) == len(reference._index)
+
+
+def stretched(trace):
+    """The number of entries a trace holds in its stretches."""
+    return sum(hi - lo + 1 for segments in trace._segments.values() for lo, hi, _ in segments)
 
 
 def test_cascading_closure_positions():
@@ -436,7 +453,7 @@ def test_reset_trace_reruns_as_a_fresh_one():
         trace.reset(first)
         fresh = Trace(first)
         assert sync_step(left, right, trace) == sync_step(left, right, fresh)
-        for name in TRACE_FIELDS:
+        for name in TRACE_FIELDS + ("_index", "_segments"):
             assert getattr(trace, name) == getattr(fresh, name), name
         assert [trace.position(i) for i in range(len(trace))] == \
             [fresh.position(i) for i in range(len(fresh))]
@@ -511,11 +528,12 @@ class RunsAgainstReference:
     rule reads: closures() gives the tops of the right ones, and the window
     of each cascade's last closure spans the left ones.  Every closure's
     window, in each component, is the whole loop its top names.  It sums
-    the loop closures, the steps that closed more than one loop, and the
-    closures whose carried sets added states."""
+    the loop closures, the steps that closed more than one loop, the
+    closures whose carried sets added states, and the entries made by
+    crossing a diagonal stretch."""
 
     def __init__(self):
-        self.closures = self.cascades = self.widened = 0
+        self.closures = self.cascades = self.widened = self.stretched = 0
 
     def __call__(self, left, right, trace):
         assert len(trace) == 1        # one call per run, on a fresh trace
@@ -523,8 +541,7 @@ class RunsAgainstReference:
         out = sync_step(left, right, trace)
         reference, shadow = ReferenceTrace(first), SetTrace(first)
         assert out == reference_run(left, right, reference)
-        for name in TRACE_FIELDS:
-            assert getattr(trace, name) == getattr(reference, name), name
+        assert_same_trace(trace, reference)
         while set_step(left, right, shadow) is not None:
             pass
         assert trace.pairs() == shadow.pairs and trace._limit_at == shadow.limit_at
@@ -544,6 +561,7 @@ class RunsAgainstReference:
                     window = states[idx:m]
                     assert min(window) == loop_start(auto, max(window))
         self.closures += len(spans)
+        self.stretched += stretched(trace)
         self.cascades += shadow.cascades
         self.widened += shadow.widened
         return out
@@ -598,6 +616,142 @@ def test_closure_spans_are_the_sets_in_the_factorizer(monkeypatch):
     for e in inputs:
         factorizer.factorize(e)
     assert check.closures > 600
+    compile_expr.cache_clear()
+
+
+def tower_text(rng, depth):
+    """(...((ac)^w x1)^w x2 ...)^w x_depth for drawn letters x1..x_depth."""
+    text = "ac"
+    for _ in range(depth):
+        text = f"({text})^w{rng.choice('abc')}"
+    return text
+
+
+@pytest.mark.parametrize("least", [32, 1])
+def test_stretches_in_the_factorizer_are_the_step_by_step_run(monkeypatch, least):
+    """Every marking run's trace, with each diagonal stretch of at least
+    `least` tokens crossed in one step, is the step-by-step reference's,
+    on towers of depth 4-11 with drawn letters and on 300 random_expr
+    draws.  Most of the towers' entries are crossed in stretches."""
+    monkeypatch.setattr(runner, "STRETCH_MIN", least)
+    check = RunsAgainstReference()
+    monkeypatch.setattr(factorizer, "sync_step", check)
+    rng = random.Random(41)
+    for depth in range(4, 12):
+        factorizer.factorize(parse_expr(tower_text(rng, depth)))
+    closures, stretched_in_towers = check.closures, check.stretched
+    for _ in range(300):
+        factorizer.factorize(random_expr(rng, max_size=12, max_depth=3, letters="abc"))
+    assert closures > 3000 and stretched_in_towers > 5000
+    if least == 1:
+        assert check.stretched > stretched_in_towers + 300
+    compile_expr.cache_clear()
+
+
+def test_stretches_of_a_word_against_itself_are_the_step_by_step_run(monkeypatch):
+    """The runs of a word's automaton against itself, from (0, q) and (q, 0)
+    for every state q, as prime_witness and suffix_word make them, with
+    every stretch crossed in one step: the step-by-step reference's trace,
+    on 150 random_expr draws and their tau.  On each finished trace,
+    Trace._unseen counts the pairs before the first one the trace holds,
+    from the few pairs just below each stretch on its diagonal.  On a tower
+    run from (0, 0), the entry lookup finds every (s, s)."""
+    monkeypatch.setattr(runner, "STRETCH_MIN", 1)
+    check = RunsAgainstReference()
+    rng = random.Random(43)
+    draws = [random_expr(rng, max_size=10, max_depth=3, letters="ab") for _ in range(150)]
+    counted = 0
+    for e in draws + [tau(e) for e in draws]:
+        auto = compile_expr(e)
+        for q in range(auto.n):
+            for first in ((0, q), (q, 0)):
+                trace = Trace(first)
+                check(auto, auto, trace)
+                for d, segments in list(trace._segments.items()):
+                    for lo, _, _ in segments:
+                        for s in range(max(0, lo - 4, d), lo):
+                            t, k = s - d, auto.n - max(s, s - d)
+                            # the stretch lies ahead, so some pair is held
+                            unseen = [trace.entry((s + q, t + q)) is not None
+                                      for q in range(1, k + 1)].index(True)
+                            assert trace._unseen(s, t, k) == unseen
+                            counted += unseen > 0
+    assert check.stretched > 1000 and counted > 100
+    auto = compile_expr(tau(parse_expr(tower_text(rng, 5))))
+    trace = Trace((0, 0))
+    check(auto, auto, trace)
+    assert [trace.entry((s, s)) for s in range(auto.n + 1)] == list(range(auto.n + 1))
+    assert stretched(trace) > auto.n // 2
+    compile_expr.cache_clear()
+
+
+def cross_then_run(left, right, first):
+    """Cross the stretch from the pair `first` (whose first tokens agree),
+    run on to the stop, and check the trace against the step-by-step
+    reference run from `first`.  Returns the stretch's length and the trace."""
+    trace = Trace(first)
+    k = runner._cross_stretch(left, right, trace)
+    stop = sync_step(left, right, trace)
+    reference = ReferenceTrace(first)
+    assert stop == reference_run(left, right, reference)
+    assert_same_trace(trace, reference)
+    return k, trace
+
+
+@pytest.mark.parametrize("text, first, k", [
+    ("abcabd", (3, 0), 2),                   # a letter mismatch: d against c
+    ("(aa)^wa(a)^w", (3, 0), 2),             # a^w against (aa)^w: one letter, two offsets
+    ("c(abab)^wc(abab)^w", (9, 3), 2),       # token 11's back edge lands at 8, before 9
+])
+def test_stretch_stops_before_tokens_that_differ_or_leave(monkeypatch, text, first, k):
+    """A stretch stops before two tokens that are not one node, and before
+    an w-token whose back edge lands before the stretch's start."""
+    monkeypatch.setattr(runner, "STRETCH_MIN", 1)
+    auto = compile_expr(parse_expr(text))
+    got, trace = cross_then_run(auto, auto, first)
+    s, t = first
+    assert got == k
+    assert trace.pairs()[:k + 1] == [(s + q, t + q) for q in range(k + 1)]
+    assert trace._segments == {s - t: [(s + 1, s + k, 1)]}
+
+
+def test_stretch_stops_before_the_jump_state(monkeypatch):
+    """The sharp's jump state redirects its transition, so a stretch stops
+    there though the base's tokens go on agreeing."""
+    monkeypatch.setattr(runner, "STRETCH_MIN", 1)
+    auto = compile_expr(parse_expr("ab" * 4))
+    sharp = SharpAutomaton(auto, 0, 2)
+    k, trace = cross_then_run(auto, sharp, (2, 0))
+    assert k == 2 and trace.pairs()[:3] == [(2, 0), (3, 1), (4, 2)]
+    assert cross_then_run(auto, auto, (2, 0))[0] == 6
+
+
+def test_stretch_stops_before_a_pair_the_run_holds(monkeypatch):
+    """On (a^wa(a^w)^w)^w from (0, 2), the stretch after the closure that
+    reaches (2, 2) crosses one token: the next pair, (4, 4), was reached
+    before.  On a^wa^w(aa)^wa from (0, 2), a stretch holds (3, 5), and a
+    later back edge lands on it: the closure finds it by the entry lookup,
+    though the step-by-step index lacks it."""
+    monkeypatch.setattr(runner, "STRETCH_MIN", 1)
+    crossed = []
+    cross = runner._cross_stretch
+
+    def recording(left, right, trace):
+        k = cross(left, right, trace)
+        crossed.append((trace.pairs()[-1 - k], k))
+        return k
+
+    monkeypatch.setattr(runner, "_cross_stretch", recording)
+    check = RunsAgainstReference()
+    auto = compile_expr(parse_expr("(a^wa(a^w)^w)^w"))
+    trace = Trace((0, 2))
+    check(auto, auto, trace)
+    assert ((2, 2), 1) in crossed and trace.entry((4, 4)) == 5
+    auto = compile_expr(parse_expr("a^wa^w(aa)^wa"))
+    trace = Trace((0, 2))
+    check(auto, auto, trace)
+    assert (3, 5) not in trace._index and trace.entry((3, 5)) == 3
+    assert trace._cascades[-1] == (3,)
     compile_expr.cache_clear()
 
 
