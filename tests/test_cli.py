@@ -155,10 +155,31 @@ def test_tau(capsys):
 def test_compile(capsys):
     code, out, _ = run(capsys, "compile", "(a^wb)^wa^w")
     assert code == 0
-    assert "states: 7" in out
+    assert out.splitlines() == [
+        "(0a1w2b)3w4a5w6",
+        "states: 7",
+        "  0 -a-> 1",
+        "  1 -a-> 1",
+        "  2 -b-> 3",
+        "  3 -a-> 1",
+        "  4 -a-> 5",
+        "  5 -a-> 5",
+        "  {1..1} -> 2",
+        "  {1..3} -> 4",
+        "  {5..5} -> 6",
+    ]
     code, out, _ = run(capsys, "compile", "a^w", "--dot")
     assert code == 0
-    assert out.startswith("digraph")
+    assert out.splitlines() == [
+        "digraph word {",
+        "  rankdir=LR;",
+        "  node [shape=circle];",
+        "  2 [shape=doublecircle];",
+        '  0 -> 1 [label="a"];',
+        '  1 -> 1 [label="a"];',
+        '  1 -> 2 [label="lim {1..1}", style=dashed];',
+        "}",
+    ]
 
 
 def test_compare(capsys):
