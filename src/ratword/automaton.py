@@ -5,7 +5,9 @@ w-power) and takes states 0..n, where state s sits just before token s and n
 is final.  A letter token s yields the successor transition s -a-> s+1.  A
 w-power token s whose body starts at token b yields the backward transition
 s -a-> b+1 (a the body's first letter) together with the limit transition
-{b+1,...,s} -> s+1, taken when exactly those states repeat cofinally.
+{b+1,...,s} -> s+1, taken when exactly those states repeat cofinally.  The
+transition leaving s is kept as its step (a, target - s), so the copies that
+`tau` makes of a body are identical slices of the table, compiled by copying.
 
 Each token also keeps its node, the Letter or w-power of the expression it
 was compiled from.  A token range is read back from those nodes: an
@@ -16,8 +18,10 @@ nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import itemgetter
 
 from .expr import Concat, Letter, Omega, RatExpr, concat, split_at
 from .runner import Trace, sync_step
@@ -32,11 +36,14 @@ class MissingLimitError(AutomatonError):
 
 
 class SingleWordAutomaton:
-    """The transitions are the one source of the token structure, and
-    nodes[s] is the Letter or Omega node that token s was compiled from.
-    The limit transitions are read off the back edges: an w-token hi with
-    the back edge hi -> lo has the limit {lo..hi} -> hi + 1, and no other
-    state tops a loop.
+    """The transitions are the one source of the token structure: table[s]
+    is the step (letter, d) of the transition s -letter-> s + d, and None
+    for the final state n.  nodes[s] is the Letter or Omega node that token
+    s was compiled from.  The limit transitions are read off the back
+    edges: an w-token hi with the back edge hi -> lo has the limit
+    {lo..hi} -> hi + 1, and no other state tops a loop.  `compile_expr`
+    lists the back edges by increasing hi in `loop_tops`, with their lo in
+    `loop_lows`; given steps alone, construction reads them off.
 
     No transition skips ahead: the successor of s goes to at most s + 1,
     and a limit leaves its interval to the next state.  The product run
@@ -44,37 +51,26 @@ class SingleWordAutomaton:
     state of its window (see `runner.Trace`), so construction checks it
     and raises AutomatonError otherwise.
 
-    The product run reads transitions from `table`, succ with None for the
-    final state, a tuple that every `SharpAutomaton` on this automaton
-    shares.  A sharp redirects its state `jump` to the edge `back`; here no
-    state is redirected.
-
-    A run of this automaton against itself, or against a sharp on it,
-    crosses a diagonal stretch in one step (see `runner.Trace`).  It
-    compares tokens by their nodes: expressions are hash-consed, so two
-    tokens that are one node read one letter and lead alike, a letter one
-    state up and an w-token back by its body's token count less one.  It
-    reads the back edges hi -> lo, by increasing hi, from `loop_tops` and
-    `loop_lows`."""
+    Every `SharpAutomaton` on this automaton shares its `table`.  A sharp
+    redirects its state `jump` to the step `back`; here none is."""
     initial = 0
     jump = -1
     back = None
 
-    def __init__(self, succ, nodes):
-        self.succ = tuple(succ)          # succ[s] = (letter, target), s in 0..n-1
-        self.n = len(self.succ)
+    def __init__(self, steps, nodes, loop_tops=None, loop_lows=None):
+        self.table = (*steps, None)
+        self.n = len(steps)
         self.nodes = tuple(nodes)
-        self.table = self.succ + (None,)
-        self.loop_tops = tops = []       # hi, for each back edge hi -> lo
-        self.loop_lows = lows = []       # its lo
-        for s, (_, target) in enumerate(self.succ):
-            if target <= s:
-                if target < 0:
-                    raise AutomatonError(f"successor {s}->{target} leaves the states")
-                tops.append(s)
-                lows.append(target)
-            elif target > s + 1:
-                raise AutomatonError(f"successor {s}->{target} skips ahead")
+        if loop_tops is None:
+            loop_tops = [s for s, (_, d) in enumerate(steps) if d <= 0]
+            loop_lows = [s + steps[s][1] for s in loop_tops]
+        self.loop_tops, self.loop_lows = loop_tops, loop_lows
+        if max(map(itemgetter(1), steps), default=1) > 1 or min(loop_lows, default=0) < 0:
+            for s, (_, d) in enumerate(steps):
+                if s + d < 0:
+                    raise AutomatonError(f"successor {s}->{s + d} leaves the states")
+                if d > 1:
+                    raise AutomatonError(f"successor {s}->{s + d} skips ahead")
 
     @cached_property
     def limits(self) -> dict[tuple[int, int], int]:
@@ -82,49 +78,80 @@ class SingleWordAutomaton:
         return {(lo, hi): hi + 1 for lo, hi in zip(self.loop_lows, self.loop_tops)}
 
     @cached_property
-    def in_loop(self) -> bytes:
-        """in_loop[s] is nonzero when state s lies in some limit interval."""
-        depth = [0] * (self.n + 2)
-        for lo, hi in zip(self.loop_lows, self.loop_tops):
-            depth[lo] += 1
-            depth[hi + 1] -= 1
-        return bytes(map((0).__lt__, accumulate(depth[:-1])))
+    def _least_low(self) -> list[int]:
+        """min(loop_lows[k:]) at k."""
+        return list(accumulate(reversed(self.loop_lows), min))[::-1]
+
+    def in_loop(self, s: int) -> bool:
+        """Whether state s lies in some limit interval: some back edge
+        hi -> lo with hi >= s has lo <= s."""
+        k = bisect_left(self.loop_tops, s)
+        return k < len(self.loop_tops) and self._least_low[k] <= s
 
     def limit_target(self, hi: int) -> int:
         """The target of the limit transition taken when the loop topped by
         state hi repeats cofinally: hi + 1, if hi is an w-token.  The
         greatest state of a closure's window names its loop (see
         `runner.Trace`)."""
-        if hi < self.n and self.succ[hi][1] <= hi:
+        if hi < self.n and self.table[hi][1] <= 0:
             return hi + 1
         raise MissingLimitError(f"state {hi} ends no loop")
+
+
+class _LetterSteps(dict):
+    """The step (a, 1) of each Letter a, one object for every automaton."""
+    def __missing__(self, letter: Letter) -> tuple[str, int]:
+        step = self[letter] = (letter.sym, 1)
+        return step
+
+
+_LETTER_STEPS = _LetterSteps()
 
 
 @lru_cache(maxsize=65536)
 def compile_expr(e: RatExpr) -> SingleWordAutomaton:
     """The automaton of e, built in one iterative walk that numbers the
-    tokens and records each token's transition and node."""
-    succ: list[tuple[str, int]] = []
+    tokens and records each token's step and node, and each back edge.  An
+    w-power met again, as `tau` copies every body, copies its first block's
+    steps and nodes by slices, and its back edges shifted.  A Concat is e or
+    the body of its one w-power, so no other block repeats, and each Letter
+    and distinct w-power makes one step object, shared by its copies."""
+    steps: list[tuple[str, int]] = []
     nodes: list[RatExpr] = []
+    tops: list[int] = []
+    lows: list[int] = []
+    blocks: dict[Omega, tuple[int, int, int, int]] = {}   # its tokens and back edges
     stack: list = [e]
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is Letter:
             nodes.append(node)
-            succ.append((node.sym, len(nodes)))
+            steps.append(_LETTER_STEPS[node])
         elif kind is Concat:
             stack.extend(reversed(node.parts))
         elif kind is Omega:
-            stack.append((node, len(nodes)))    # its w-token, once the body is out
-            stack.append(node.body)
+            block = blocks.get(node)
+            if block is None:
+                stack.append((node, len(nodes), len(tops)))    # its w-token, once the body is out
+                stack.append(node.body)
+                continue
+            start, end, first, last = block
+            shift = len(nodes) - start
+            steps += steps[start:end]
+            nodes += nodes[start:end]
+            tops += map(shift.__add__, tops[first:last])
+            lows += map(shift.__add__, lows[first:last])
         else:
-            node, start = node
+            node, start, first = node
             s = len(nodes)
             nodes.append(node)
             # back to just after the body's first token, a letter
-            succ.append((succ[start][0], start + 1))
-    return SingleWordAutomaton(succ, nodes)
+            steps.append((steps[start][0], start + 1 - s))
+            tops.append(s)
+            lows.append(start + 1)
+            blocks[node] = (start, s + 1, first, len(tops))
+    return SingleWordAutomaton(steps, nodes, tops, lows)
 
 
 def validate(auto: SingleWordAutomaton) -> list[str]:
@@ -135,8 +162,8 @@ def validate(auto: SingleWordAutomaton) -> list[str]:
     problems = []
     n = auto.n
     entering: dict[int, list[tuple[str, str]]] = {}
-    for s, (letter, target) in enumerate(auto.succ):
-        entering.setdefault(target, []).append(("succ", letter))
+    for s, (letter, d) in enumerate(auto.table[:n]):
+        entering.setdefault(s + d, []).append(("succ", letter))
     for target in auto.limits.values():
         entering.setdefault(target, []).append(("limit", ""))
     # Limit intervals must nest or be disjoint.  Sweep them by start, outer
@@ -170,13 +197,13 @@ class SharpAutomaton:
     {i+1,...,j} -> j.  With j = i+1 this degenerates to the one-letter loop.
     Requires i outside every loop, so that a loop through j is the whole
     interval i+1..j.  The transitions are the base's `table`, shared, with
-    state j redirected (`jump`) to the added edge (`back`).  A diagonal
-    stretch stops before j, so it reads the base's nodes and back edges."""
+    state j redirected (`jump`) to the added step (`back`).  A diagonal
+    stretch stops before j, so it reads the base's steps and back edges."""
 
     def __init__(self, base: SingleWordAutomaton, i: int, j: int):
         self.base = base
         self.table = base.table
-        self.nodes, self.loop_tops, self.loop_lows = base.nodes, base.loop_tops, base.loop_lows
+        self.loop_tops, self.loop_lows = base.loop_tops, base.loop_lows
         self.retarget(i, j)
 
     def retarget(self, i: int, j: int) -> None:
@@ -185,11 +212,11 @@ class SharpAutomaton:
         base = self.base
         if not 0 <= i < j <= base.n:
             raise AutomatonError(f"bad state range [{i}, {j}]")
-        if base.in_loop[i]:
+        if base.in_loop(i):
             raise AutomatonError(f"state {i} lies inside a loop")
         self.i = self.initial = i
         self.jump = j
-        self.back = (base.succ[i][0], i + 1)     # the added j -a-> i+1
+        self.back = (base.table[i][0], i + 1 - j)     # the added j -a-> i+1
 
     def limit_target(self, hi: int) -> int:
         """The added limit, for the loop topped by j, or the base's limit
@@ -213,15 +240,15 @@ def expr_of_range(auto: SingleWordAutomaton, lo: int, hi: int) -> RatExpr:
     whose body starts at or after lo stands for its whole body."""
     if lo >= hi:
         raise AutomatonError("empty token range")
-    succ = auto.succ
-    # the body of token t starts at succ[t][1] - 1 (t itself for a letter)
+    table = auto.table
+    # the body of token t starts at t + table[t][1] - 1 (t itself for a letter)
     parts: list[RatExpr] = []
     t = hi - 1
     while t >= lo:
-        start = succ[t][1] - 1
+        start = t + table[t][1] - 1
         if start < lo:
             # name the innermost crossing body, the first one reading forwards
-            start = next(target - 1 for _, target in succ[lo:hi] if target <= lo)
+            start = next(s + d - 1 for s, (_, d) in enumerate(table[lo:hi], lo) if s + d <= lo)
             raise AutomatonError(f"w-power body at token {start} crosses range start {lo}")
         parts.append(auto.nodes[t])
         t = start - 1
@@ -243,11 +270,11 @@ def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:
         return None
     trace = Trace((q, q))
     sync_step(auto, auto, trace)
-    lefts, succ = trace._lefts, auto.succ
+    lefts, table = trace._lefts, auto.table
     cascades = dict(zip(trace._limit_at, trace._cascades))
     parts: list[RatExpr] = []
     for m in range(1, len(lefts)):
-        piece = Letter(succ[lefts[m - 1]][0])
+        piece = Letter(table[lefts[m - 1]][0])
         for idx in cascades.get(m, ()):
             parts, body = split_at(concat(parts + [piece]), trace.position(idx))
             piece = Omega(concat(body))
@@ -261,18 +288,18 @@ def render_tokens(auto: SingleWordAutomaton, mark, omega: str) -> str:
     """The compiled word as text: mark(s) before token s and mark(n) at the
     end, each w-token written as omega, and a body of more than one token
     in parentheses."""
-    # a letter token leads to s + 1, and an w-token s to its body's start
+    # a letter token steps 1 up, and an w-token s back to its body's start
     # plus one, which is s only for a body of one token
     opens = [0] * auto.n
-    for s, (_, target) in enumerate(auto.succ):
-        if target < s:
-            opens[target - 1] += 1
+    for s, (_, d) in enumerate(auto.table[:auto.n]):
+        if d < 0:
+            opens[s + d - 1] += 1
     out: list[str] = []
-    for s, (a, target) in enumerate(auto.succ):
-        if target == s + 1:
+    for s, (a, d) in enumerate(auto.table[:auto.n]):
+        if d == 1:
             out += ("(" * opens[s], mark(s), a)
         else:
-            out += (")" if target < s else "", mark(s), omega)
+            out += (")" if d < 0 else "", mark(s), omega)
     out.append(mark(auto.n))
     return "".join(out)
 
@@ -285,8 +312,8 @@ def numbered_word(e: RatExpr) -> str:
 def to_dot(auto: SingleWordAutomaton) -> str:
     lines = ["digraph word {", "  rankdir=LR;", "  node [shape=circle];",
              f"  {auto.n} [shape=doublecircle];"]
-    for s, (letter, target) in enumerate(auto.succ):
-        lines.append(f'  {s} -> {target} [label="{letter}"];')
+    for s, (letter, d) in enumerate(auto.table[:auto.n]):
+        lines.append(f'  {s} -> {s + d} [label="{letter}"];')
     for (lo, hi), target in sorted(auto.limits.items()):
         lines.append(f'  {lo} -> {target} [label="lim {{{lo}..{hi}}}", style=dashed];')
     lines.append("}")

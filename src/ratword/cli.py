@@ -108,8 +108,8 @@ def cmd_compile(args) -> int:
     else:
         print(numbered_word(e))
         print(f"states: {auto.n + 1}")
-        for s, (letter, target) in enumerate(auto.succ):
-            print(f"  {s} -{letter}-> {target}")
+        for s, (letter, d) in enumerate(auto.table[:auto.n]):
+            print(f"  {s} -{letter}-> {s + d}")
         for (lo, hi), target in sorted(auto.limits.items()):
             print(f"  {{{lo}..{hi}}} -> {target}")
     return 0

@@ -139,7 +139,7 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
         if a is not None and a > b:
             # the suffix at j is larger: extend the candidate prefix past
             # the furthest state the main run has reached
-            case = "2a" if auto.succ[k][1] > top else "2b"
+            case = "2a" if k + table[k][1] > top else "2b"
         else:
             # smaller letter (or end of word): close the block of copies of
             # the prime cut at j
@@ -152,7 +152,7 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
             q_main.add(top)
             if i == n:
                 break
-            if auto.in_loop[i]:
+            if auto.in_loop(i):
                 raise AutomatonError(f"state {i} lies inside a loop")
             case = "init"
         j = top + 1

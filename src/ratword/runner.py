@@ -5,42 +5,27 @@ trace is the repetition-free list of state pairs in first-visit order; when a
 pair repeats, the loop just closed is resolved component-wise through limit
 transitions.  `sync_step` runs the product from the trace's last pair to its
 next stop, where the components read different letters or one or both end,
-in one loop that resolves every loop closure on the way.  Its name is kept
-because the benchmark's layer trace (`perfbench/layertrace.py`) wraps
+in one loop that resolves every loop closure on the way, and crosses each
+diagonal stretch of tau's copies in one step (see `Trace`), as the Lyndon
+factorization of compressed text crosses a repeated factor at once (I,
+Nakashima, Inenaga, Bannai and Takeda, TCS 2016).  Its name is kept because
+the benchmark's layer trace (`perfbench/layertrace.py`) wraps
 `runner.sync_step` by name.
 
-The trace does not store the ordinal position at which each pair was first
-reached: a pair reached by a letter sits one past the pair before it, and a
-pair reached by limit transitions keeps the loop entries of the cascade that
-reached it, so `Trace.position` derives a position only when asked.  Nor
-does it store the states that a closure collapses: in each component they
-are the loop named by the greatest state of the closure's own window (see
-`Trace`).
+The trace stores neither the ordinal position at which each pair was first
+reached, which `Trace.position` derives when asked, nor the states that a
+closure collapses (see `Trace`).
 
 `sync_step` is the package's one walk along transitions: `suffix_word` and
 `primitive_root` read a word's suffixes and prefix lengths off the trace of
 its automaton run against itself, and `prime_witness` compares each suffix
-with the word by such a run.
-
-When both components read one word's tokens, as in the marking run (the
-word against the sharp closure of one of its factors) and in a word's run
-against itself, the copies that `tau` makes of each w-body give long
-diagonal stretches: both components step one state forward, token after
-token.  After each loop closure `sync_step` crosses the stretch that
-follows, if it is at least STRETCH_MIN tokens long, in one step: it
-compares the tokens' nodes by slices and appends the stretch's entries with
-list operations, at C speed.  This is the idea of crossing a repeated
-factor at once from the Lyndon factorization of compressed text (I,
-Nakashima, Inenaga, Bannai and Takeda, TCS 2016), on tau's copies.  The
-entries are exactly those of the letter-by-letter run (see `Trace`); a
-shorter stretch, and every run of two different words, is left to that
-run."""
+with the word by such a run."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import compress, count
-from operator import is_not
+from operator import ne
 
 from .ordinal import Ordinal, sub_left, OMEGA, ONE, ZERO
 
@@ -96,11 +81,11 @@ class Trace:
 
     `sync_step` relies on the upper end alone: it reads each closure's loop
     off the greatest state of its window.  In a `SingleWordAutomaton` each
-    w-token hi tops exactly one loop interval, [succ[hi][1], hi], and no
-    other state tops one; in a sharp, a window topped by j is [i+1, j],
-    because `retarget` refuses an i inside a loop.  The lower end and the
-    absence of gaps make the window that loop's whole interval; the tests
-    check both against a lookup of the whole interval.
+    w-token hi, with the step (a, d), tops exactly one loop interval,
+    [hi + d, hi], and no other state tops one; in a sharp, a window topped
+    by j is [i+1, j], because `retarget` refuses an i inside a loop.  The
+    lower end and the absence of gaps make the window that loop's whole
+    interval; the tests check both against a lookup of the whole interval.
 
     The last closure of a cascade opens its earliest loop, so its window
     holds every other window of the cascade, and `closures` reads the top
@@ -113,11 +98,15 @@ class Trace:
     one segment (s + 1, s + k, e + 1) of the diagonal s - t in
     `_segments`.  `entry` looks a pair up in both.
 
-    From the pair (s, t) at entry e, a stretch of k steps takes the step
+    When both components read one word's steps (the marking run, and a
+    word's run against itself), tau's copies make long diagonal stretches.
+    After each loop closure `sync_step` crosses one of at least STRETCH_MIN
+    steps at once, by slices and list operations; a shorter one is left to
+    the letter-by-letter run.  From the pair (s, t) at entry e, a stretch of k steps takes the step
     from (s + q, t + q) for q = 0..k-1 while:
-    - the tokens s + q and t + q are one node, so they read one letter and
-      lead alike: a letter one state up, an w-token back by its body's
-      token count less one;
+    - the steps s + q and t + q are equal, so they read one letter and lead
+      alike: a letter one state up, an w-token back by its body's token
+      count less one;
     - neither s + q nor t + q is its component's jump state or final state;
     - the back edge of an w-token s + q lands at or after s;
     - the pair reached, (s + q + 1, t + q + 1), is not in the trace yet.
@@ -240,10 +229,10 @@ class Trace:
 def sync_step(left, right, trace: Trace):
     """Run the product from the trace's last pair to its next stop and
     return it as the pair (left letter, right letter) read there: two
-    letters that differ, or None for a component at its final state.  A
-    transition leaving s is the automaton's `back` when s is its `jump`
-    state and `table[s]` otherwise (None at the final state), so a letter
-    costs no Python call.  After each loop closure the run crosses the
+    letters that differ, or None for a component at its final state.  The
+    step (a, d) leaving s, to s + d, is the automaton's `back` when s is its
+    `jump` state and `table[s]` otherwise (None at the final state), so a
+    letter costs no Python call.  After each loop closure the run crosses the
     diagonal stretch that follows, if any, in one step (see `Trace`)."""
     lefts, rights, index = trace._lefts, trace._rights, trace._index
     segments = trace._segments
@@ -256,10 +245,12 @@ def sync_step(left, right, trace: Trace):
         if step_l is None or step_r is None:
             return (None if step_l is None else step_l[0],
                     None if step_r is None else step_r[0])
-        a, s = step_l
-        b, t = step_r
+        a, d = step_l
+        b, e = step_r
         if a != b:
             return a, b
+        s += d
+        t += e
         pair = (s, t)
         if pair not in index and not (segments and trace.entry(pair) is not None):
             index[pair] = len(lefts)
@@ -284,9 +275,8 @@ def sync_step(left, right, trace: Trace):
         rights.append(t)
         trace._cascades.append(tuple(cascade))
         # a stretch is looked for when both components read one word's
-        # tokens, and one shorter than STRETCH_MIN is left to the loop above
-        nodes = left.nodes
-        if nodes is right.nodes and nodes[s:s + STRETCH_MIN] == nodes[t:t + STRETCH_MIN]:
+        # steps, and one shorter than STRETCH_MIN is left to the loop above
+        if ltable is rtable and ltable[s:s + STRETCH_MIN] == ltable[t:t + STRETCH_MIN]:
             k = _cross_stretch(left, right, trace)
             s += k
             t += k
@@ -295,16 +285,16 @@ def sync_step(left, right, trace: Trace):
 def _cross_stretch(left, right, trace: Trace) -> int:
     """Cross the diagonal stretch from the trace's last pair (s, t), append
     its entries and return its length k, 0 if there is none (see `Trace`).
-    Both components read the same `nodes`, whose first STRETCH_MIN tokens
+    Both components read the same `table`, whose first STRETCH_MIN steps
     from s and from t agree."""
     lefts, rights = trace._lefts, trace._rights
     base = len(lefts) - 1
     s, t = lefts[base], rights[base]
-    nodes = left.nodes
-    k = min(_end(left.jump, len(nodes)) - s, _end(right.jump, len(nodes)) - t)
+    final = len(left.table) - 1
+    k = min(_end(left.jump, final) - s, _end(right.jump, final) - t)
     if k < STRETCH_MIN:
         return 0
-    k = STRETCH_MIN + _agreeing(nodes, s + STRETCH_MIN, t + STRETCH_MIN, k - STRETCH_MIN)
+    k = STRETCH_MIN + _agreeing(left.table, s + STRETCH_MIN, t + STRETCH_MIN, k - STRETCH_MIN)
     tops, lows = left.loop_tops, left.loop_lows
     first = bisect_left(tops, s)
     end = bisect_left(tops, s + k, first)
@@ -327,22 +317,22 @@ def _cross_stretch(left, right, trace: Trace) -> int:
     return k
 
 
-def _end(jump: int, tokens: int) -> int:
+def _end(jump: int, final: int) -> int:
     """The state before which a stretch stops: the jump state, if any, and
-    the final state, or 0 when the automaton keeps no nodes."""
-    return min(jump, tokens) if jump >= 0 else tokens
+    the final state."""
+    return min(jump, final) if jump >= 0 else final
 
 
-def _agreeing(nodes: tuple, s: int, t: int, k: int) -> int:
-    """The length of the common prefix of nodes[s:s+k] and nodes[t:t+k]:
+def _agreeing(table: tuple, s: int, t: int, k: int) -> int:
+    """The length of the common prefix of table[s:s+k] and table[t:t+k]:
     slices that double in length are compared until one differs, and
-    that one is scanned for the first token that differs."""
+    that one is scanned for the first step that differs."""
     lo, step = 0, 32
     while lo < k:
         hi = min(lo + step, k)
-        if nodes[s + lo:s + hi] != nodes[t + lo:t + hi]:
-            return next(compress(count(lo), map(is_not, nodes[s + lo:s + hi],
-                                                nodes[t + lo:t + hi])))
+        if table[s + lo:s + hi] != table[t + lo:t + hi]:
+            return next(compress(count(lo), map(ne, table[s + lo:s + hi],
+                                                table[t + lo:t + hi])))
         lo, step = hi, 2 * step
     return k
 

@@ -1,10 +1,12 @@
-"""Test-only inputs and oracles: random finite words and ordinals, and the
-brute-force factorization of a finite word."""
+"""Test-only inputs and oracles: random finite words and ordinals, the
+brute-force factorization of a finite word, and the token-by-token compiler
+with absolute targets."""
 
 from __future__ import annotations
 
 import random
 
+from ratword.expr import Concat, Letter, Omega
 from ratword.oracles import is_prime_finite
 from ratword.ordinal import Ordinal
 
@@ -48,3 +50,41 @@ def brute_force_factorize(word: str) -> list[str]:
         raise AssertionError(
             f"{word!r} has {len(solutions)} non-increasing prime decompositions")
     return solutions[0]
+
+
+def reference_compile(e):
+    """compile_expr as first written: one iterative walk that emits one
+    token at a time, with absolute targets.  Returns succ, with succ[s] =
+    (letter, target) for s in 0..n-1, the token nodes, and the back edges
+    hi -> lo as loop_tops and loop_lows, by increasing hi."""
+    succ, nodes = [], []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Letter:
+            nodes.append(node)
+            succ.append((node.sym, len(nodes)))
+        elif kind is Concat:
+            stack.extend(reversed(node.parts))
+        elif kind is Omega:
+            stack.append((node, len(nodes)))    # its w-token, once the body is out
+            stack.append(node.body)
+        else:
+            node, start = node
+            nodes.append(node)
+            # back to just after the body's first token, a letter
+            succ.append((succ[start][0], start + 1))
+    tops = [s for s, (_, target) in enumerate(succ) if target <= s]
+    return succ, nodes, tops, [succ[s][1] for s in tops]
+
+
+def targets(auto):
+    """The transitions of a compiled automaton with absolute targets:
+    (letter, s + d) for the step (letter, d) leaving each state s < n."""
+    return [(a, s + d) for s, (a, d) in enumerate(auto.table[:auto.n])]
+
+
+def relative(succ):
+    """The steps of the transitions s -letter-> target given in succ."""
+    return [(a, target - s) for s, (a, target) in enumerate(succ)]

@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 
@@ -15,7 +16,7 @@ from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import OMEGA, ONE, ZERO, Ordinal, sub_left
 
-from helpers import random_finite_word
+from helpers import random_finite_word, reference_compile, relative, targets
 from test_order import interval_limit
 
 W = Ordinal.omega
@@ -26,17 +27,21 @@ def test_seven_state_automaton():
     # (a^w b)^w a^w: six tokens, states 0..6
     auto = compile_expr(parse_expr("(a^wb)^wa^w"))
     assert auto.n == 6
-    assert list(auto.succ) == [("a", 1), ("a", 1), ("b", 3), ("a", 1),
-                               ("a", 5), ("a", 5)]
+    assert targets(auto) == [("a", 1), ("a", 1), ("b", 3), ("a", 1),
+                             ("a", 5), ("a", 5)]
+    assert auto.table == (("a", 1), ("a", 0), ("b", 1), ("a", -2),
+                          ("a", 1), ("a", 0), None)
     assert auto.limits == {(1, 1): 2, (1, 3): 4, (5, 5): 6}
 
 
 def test_thirteen_state_automaton():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
     assert auto.n == 12
-    assert list(auto.succ) == [("a", 1), ("a", 2), ("a", 2), ("b", 4),
-                               ("a", 5), ("a", 6), ("a", 6), ("b", 8),
-                               ("a", 5), ("a", 10), ("a", 11), ("a", 11)]
+    assert targets(auto) == [("a", 1), ("a", 2), ("a", 2), ("b", 4),
+                             ("a", 5), ("a", 6), ("a", 6), ("b", 8),
+                             ("a", 5), ("a", 10), ("a", 11), ("a", 11)]
+    # tau's copy of a^w b, tokens 4..7, repeats the steps of tokens 0..3
+    assert auto.table[4:8] == auto.table[0:4]
     assert auto.limits == {(2, 2): 3, (6, 6): 7, (5, 8): 9, (11, 11): 12}
 
 
@@ -85,12 +90,14 @@ def test_validate_towers():
 def _looped(limits):
     """Hand-built automaton over 'a' with the limit transition {lo..hi} -> hi+1
     and the backward transition hi -> lo for each given interval.  It has no
-    nodes: it is compiled from no expression, and validate reads none."""
+    nodes: it is compiled from no expression, and validate reads none.  Its
+    back edges are read off its steps when it is built."""
     n = max(hi for _, hi in limits) + 1
     succ = [("a", s + 1) for s in range(n)]
     for lo, hi in limits:
         succ[hi] = ("a", lo)
-    auto = SingleWordAutomaton(succ, ())
+    auto = SingleWordAutomaton(relative(succ), ())
+    assert targets(auto) == succ
     assert auto.limits == {(lo, hi): hi + 1 for lo, hi in limits}
     return auto
 
@@ -100,23 +107,28 @@ def test_construction_refuses_transitions_that_skip_ahead():
     which holds only while no transition skips ahead; construction checks
     it."""
     with pytest.raises(AutomatonError, match=re.escape("successor 1->3 skips ahead")):
-        SingleWordAutomaton([("a", 1), ("a", 3), ("a", 3)], ())
+        SingleWordAutomaton(relative([("a", 1), ("a", 3), ("a", 3)]), ())
+    # given with its back edges, as compile_expr gives them, alike
+    with pytest.raises(AutomatonError, match=re.escape("successor 1->3 skips ahead")):
+        SingleWordAutomaton(relative([("a", 1), ("a", 3), ("a", 3)]), (), [], [])
 
 
 def test_construction_refuses_targets_below_state_zero():
     """A negative target would leave the states; before construction
-    refused it, in_loop read [0, 0] for the interval [-1, 0] that a back
-    edge 0 -> -1 names."""
+    refused it, the in-loop table read [0, 0] for the interval [-1, 0]
+    that a back edge 0 -> -1 names."""
     with pytest.raises(AutomatonError, match=re.escape("successor 0->-1 leaves the states")):
-        SingleWordAutomaton([("a", -1)], ())
+        SingleWordAutomaton(relative([("a", -1)]), ())
     with pytest.raises(AutomatonError, match=re.escape("successor 2->-3 leaves the states")):
-        SingleWordAutomaton([("a", 1), ("b", 2), ("a", -3)], ())
+        SingleWordAutomaton(relative([("a", 1), ("b", 2), ("a", -3)]), ())
+    with pytest.raises(AutomatonError, match=re.escape("successor 2->-3 leaves the states")):
+        SingleWordAutomaton(relative([("a", 1), ("b", 2), ("a", -3)]), (), [2], [-3])
 
 
 def test_validate_reports_a_transition_into_state_zero_once():
     """State 0 is a state: a transition into it is reported once, as
     entering state 0, and not as leaving the states."""
-    assert validate(SingleWordAutomaton([("a", 0), ("b", 2)], ())) == \
+    assert validate(SingleWordAutomaton(relative([("a", 0), ("b", 2)]), ())) == \
         ["state 0 is entered by a transition"]
 
 
@@ -157,7 +169,7 @@ def test_sharp_range_checks():
         # retarget makes the same checks, and a refused one changes nothing
         with pytest.raises(AutomatonError, match=re.escape(message)):
             sharp.retarget(i, j)
-        assert (sharp.i, sharp.initial, sharp.jump, sharp.back) == (0, 0, 4, ("a", 1))
+        assert (sharp.i, sharp.initial, sharp.jump, sharp.back) == (0, 0, 4, ("a", 1 - 4))
     sharp.retarget(4, 12)
     fresh = SharpAutomaton(auto, 4, 12)
     assert (sharp.i, sharp.initial, sharp.jump, sharp.back, sharp.table) == \
@@ -168,7 +180,8 @@ def test_sharp_shape():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
     sharp = SharpAutomaton(auto, 0, 4)
     assert sharp.table is auto.table              # the base's transitions, shared
-    assert (sharp.jump, sharp.back) == (4, ("a", 1))  # added back edge labeled like 0->1
+    # added back edge 4 -> 1, labeled like 0->1, as the step back 3 states
+    assert (sharp.jump, sharp.back) == (4, ("a", 1 - 4))
     assert sharp.limit_target(4) == 4             # added limit, on the loop topped by j
     assert sharp.limit_target(2) == 3             # inherited limit
     with pytest.raises(MissingLimitError, match=re.escape("limit target 7 escapes sharp [0,4]")):
@@ -177,7 +190,7 @@ def test_sharp_shape():
         sharp.limit_target(3)                     # a letter token tops no loop
     # degenerate j = i+1: one-letter loop
     one = SharpAutomaton(auto, 0, 1)
-    assert (one.jump, one.back) == (1, ("a", 1))
+    assert (one.jump, one.back) == (1, ("a", 0))
     assert one.limit_target(1) == 1
 
 
@@ -232,27 +245,63 @@ def test_limits_are_the_back_edges():
 
 
 def test_in_loop_and_limits_match_the_back_edges():
-    """in_loop and limits against their definitions, read off succ: state s
-    is inside a loop when lo <= s <= hi for some back edge hi -> lo, and
-    each back edge gives the limit (lo, hi) -> hi + 1.  On 1,000
-    random_expr draws and their tau, on 300 random finite words, whose
-    table is n + 1 zero bytes, and on the hand-built automata above."""
+    """in_loop and limits against their definitions, read off the absolute
+    targets: state s is inside a loop when lo <= s <= hi for some back edge
+    hi -> lo, and each back edge gives the limit (lo, hi) -> hi + 1.  On
+    1,000 random_expr draws and their tau, on 300 random finite words, no
+    state of which is inside a loop, and on the hand-built automata above."""
     rng = random.Random(24)
     draws = [random_expr(rng, max_size=16, max_depth=4, letters="abcd") for _ in range(1000)]
     autos = [compile_expr(x) for e in draws for x in (e, tau(e))]
     autos += map(_looped, [limits for limits, _ in CROSSING] + NESTED_OR_DISJOINT)
     for _ in range(300):
         auto = compile_expr(parse_expr(random_finite_word(rng, 60, "abc")))
-        assert (auto.in_loop, auto.limits) == (bytes(auto.n + 1), {})
+        assert not any(map(auto.in_loop, range(auto.n + 1))) and auto.limits == {}
         autos.append(auto)
     inside = 0
     for auto in autos:
-        spans = [(lo, hi) for hi, (_, lo) in enumerate(auto.succ) if lo <= hi]
+        spans = [(lo, hi) for hi, (_, lo) in enumerate(targets(auto)) if lo <= hi]
         assert auto.limits == {(lo, hi): hi + 1 for lo, hi in spans}
-        assert auto.in_loop == bytes(any(lo <= s <= hi for lo, hi in spans)
-                                     for s in range(auto.n + 1))
-        inside += sum(auto.in_loop)
+        expected = [any(lo <= s <= hi for lo, hi in spans) for s in range(auto.n + 1)]
+        assert list(map(auto.in_loop, range(auto.n + 1))) == expected
+        inside += sum(expected)
     assert inside > 10_000
+    compile_expr.cache_clear()
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_compile_matches_the_token_by_token_walk(seed):
+    """compile_expr, which copies the block of each w-power met again,
+    against the walk that emits one token at a time with absolute
+    targets, on a random_expr draw and its tau: the targets s + d, the
+    nodes and the back edges are the reference's, and in_loop(s) holds
+    exactly when s lies in some [lo, hi]."""
+    rng = random.Random(seed)
+    e = random_expr(rng, max_size=16, max_depth=4, letters="abc")
+    for x in (e, tau(e)):
+        auto = compile_expr(x)
+        succ, nodes, tops, lows = reference_compile(x)
+        assert targets(auto) == succ
+        assert auto.nodes == tuple(nodes)
+        assert (auto.loop_tops, auto.loop_lows) == (tops, lows)
+        assert [auto.in_loop(s) for s in range(auto.n + 1)] == \
+            [any(lo <= s <= hi for lo, hi in zip(lows, tops)) for s in range(auto.n + 1)]
+
+
+def test_depth_16_tower_compiles_by_copying():
+    """The depth-16 tower at the token budget: its tau has 262,142 tokens
+    and 65,535 back edges, the same as the token-by-token walk's, and
+    its table holds one step object per letter and per distinct w-power,
+    19 in all, shared by every copy."""
+    text = functools.reduce(lambda t, c: f"({t})^w{c}", "abcabcabcabcabca", "ac")
+    dup = tau(parse_expr(text))
+    auto = compile_expr(dup)
+    assert (auto.n, len(auto.loop_tops)) == (262_142, 65_535)
+    assert len(set(map(id, auto.table[:auto.n]))) == 19
+    succ, nodes, tops, lows = reference_compile(dup)
+    assert targets(auto) == succ and auto.nodes == tuple(nodes)
+    assert (auto.loop_tops, auto.loop_lows) == (tops, lows)
     compile_expr.cache_clear()
 
 
@@ -296,11 +345,12 @@ def reference_suffix_word(auto, q):
     parts = []
     pos = ZERO
     budget = (auto.n + 2) * (auto.n + 2)
+    succ = targets(auto)
     while s != auto.n:
         if budget < 0:
             raise AutomatonError("runaway walk; automaton is corrupt")
         budget -= 1
-        letter, target = auto.succ[s]
+        letter, target = succ[s]
         piece = Letter(letter)
         pos = pos + ONE
         while target in first:
@@ -349,7 +399,7 @@ def test_suffix_word_matches_its_own_walk():
                 continue
             assert format_expr(got) == format_expr(expected), (format_expr(e), q)
             assert got == expected
-            mid_loop += auto.in_loop[q]
+            mid_loop += auto.in_loop(q)
     assert mid_loop > 1000
 
 
@@ -444,7 +494,7 @@ def test_expr_of_range_matches_a_letter_by_letter_rebuild(seed):
         tokens = _reference_tokens(x)
         # a letter token leads to s + 1; an w-token's body starts at target - 1
         assert [("letter", a) if target == s + 1 else ("omega", target - 1)
-                for s, (a, target) in enumerate(auto.succ)] == tokens
+                for s, (a, target) in enumerate(targets(auto))] == tokens
         for lo in range(auto.n + 1):
             for hi in range(lo, auto.n + 1):
                 expected = _outcome(_reference_range, tokens, lo, hi)

@@ -281,7 +281,7 @@ def loop_start(auto, top):
     and the target of top's back edge otherwise."""
     if top == auto.jump:
         return auto.i + 1
-    return auto.table[top][1]
+    return top + auto.table[top][1]
 
 
 class CountingLimits:
@@ -338,8 +338,10 @@ class LoopClosed:
 
 
 def leaving(auto, s):
-    """(letter, target) of the transition leaving s, None at the final state."""
-    return auto.back if s == auto.jump else auto.table[s]
+    """(letter, target) of the transition leaving s, None at the final state:
+    its step (letter, d) with the target s + d."""
+    step = auto.back if s == auto.jump else auto.table[s]
+    return step and (step[0], s + step[1])
 
 
 def collect_loop(trace, idx, span):
@@ -704,8 +706,8 @@ def cross_then_run(left, right, first):
     ("c(abab)^wc(abab)^w", (9, 3), 2),       # token 11's back edge lands at 8, before 9
 ])
 def test_stretch_stops_before_tokens_that_differ_or_leave(monkeypatch, text, first, k):
-    """A stretch stops before two tokens that are not one node, and before
-    an w-token whose back edge lands before the stretch's start."""
+    """A stretch stops before two tokens whose steps differ, and before an
+    w-token whose back edge lands before the stretch's start."""
     monkeypatch.setattr(runner, "STRETCH_MIN", 1)
     auto = compile_expr(parse_expr(text))
     got, trace = cross_then_run(auto, auto, first)
@@ -770,7 +772,7 @@ def reference_marking(auto):
     steps, cascaded = 0, 0
     budget = n * n * n
     i = 0
-    _, start = auto.succ[0]
+    _, start = leaving(auto, 0)
     j = start
     history = ReferenceTrace((start, 0))
     sharp = SharpAutomaton(auto, 0, start)
@@ -796,7 +798,7 @@ def reference_marking(auto):
             k = history._lefts[-1]
             a, b = outcome
             if a is not None and a > b:
-                _, target = auto.succ[k]
+                _, target = leaving(auto, k)
                 if target not in seen_left:
                     assert target == max(seen_left) + 1
                     case = "2a"
@@ -818,7 +820,7 @@ def reference_marking(auto):
                 log.append(StepRecord(case, tuple(history.pairs())))
                 if i == n:
                     break
-                _, target = auto.succ[i]
+                _, target = leaving(auto, i)
                 j = target
                 seen_left = {i, j}
                 history = ReferenceTrace((j, i))
