@@ -41,9 +41,9 @@ class SingleWordAutomaton:
     for the final state n.  nodes[s] is the Letter or Omega node that token
     s was compiled from.  The limit transitions are read off the back
     edges: an w-token hi with the back edge hi -> lo has the limit
-    {lo..hi} -> hi + 1, and no other state tops a loop.  `compile_expr`
-    lists the back edges by increasing hi in `loop_tops`, with their lo in
-    `loop_lows`; given steps alone, construction reads them off.
+    {lo..hi} -> hi + 1, and no other state tops a loop.  The back edges,
+    which `compile_expr` collects, are given by increasing hi in
+    `loop_tops`, with their lo in `loop_lows`.
 
     No transition skips ahead: the successor of s goes to at most s + 1,
     and a limit leaves its interval to the next state.  The product run
@@ -57,15 +57,12 @@ class SingleWordAutomaton:
     jump = -1
     back = None
 
-    def __init__(self, steps, nodes, loop_tops=None, loop_lows=None):
+    def __init__(self, steps, nodes, loop_tops, loop_lows):
         self.table = (*steps, None)
         self.n = len(steps)
         self.nodes = tuple(nodes)
-        if loop_tops is None:
-            loop_tops = [s for s, (_, d) in enumerate(steps) if d <= 0]
-            loop_lows = [s + steps[s][1] for s in loop_tops]
         self.loop_tops, self.loop_lows = loop_tops, loop_lows
-        if max(map(itemgetter(1), steps), default=1) > 1 or min(loop_lows, default=0) < 0:
+        if steps and max(map(itemgetter(1), steps)) > 1 or loop_lows and min(loop_lows) < 0:
             for s, (_, d) in enumerate(steps):
                 if s + d < 0:
                     raise AutomatonError(f"successor {s}->{s + d} leaves the states")
@@ -83,8 +80,7 @@ class SingleWordAutomaton:
         return list(accumulate(reversed(self.loop_lows), min))[::-1]
 
     def in_loop(self, s: int) -> bool:
-        """Whether state s lies in some limit interval: some back edge
-        hi -> lo with hi >= s has lo <= s."""
+        """Whether some back edge hi -> lo has lo <= s <= hi."""
         k = bisect_left(self.loop_tops, s)
         return k < len(self.loop_tops) and self._least_low[k] <= s
 
@@ -96,6 +92,10 @@ class SingleWordAutomaton:
         if hi < self.n and self.table[hi][1] <= 0:
             return hi + 1
         raise MissingLimitError(f"state {hi} ends no loop")
+
+
+# the least block `compile_expr` copies: a shorter one costs less to walk again
+COPY_MIN = 8
 
 
 class _LetterSteps(dict):
@@ -113,14 +113,15 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
     """The automaton of e, built in one iterative walk that numbers the
     tokens and records each token's step and node, and each back edge.  An
     w-power met again, as `tau` copies every body, copies its first block's
-    steps and nodes by slices, and its back edges shifted.  A Concat is e or
-    the body of its one w-power, so no other block repeats, and each Letter
-    and distinct w-power makes one step object, shared by its copies."""
+    steps and nodes by slices, and its back edges shifted, if the block
+    holds at least COPY_MIN tokens.  A Concat is e or the body of its one
+    w-power, so no other block repeats.  Equal steps are one object."""
     steps: list[tuple[str, int]] = []
     nodes: list[RatExpr] = []
     tops: list[int] = []
     lows: list[int] = []
     blocks: dict[Omega, tuple[int, int, int, int]] = {}   # its tokens and back edges
+    intern = {}.setdefault
     stack: list = [e]
     while stack:
         node = stack.pop()
@@ -147,10 +148,12 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
             s = len(nodes)
             nodes.append(node)
             # back to just after the body's first token, a letter
-            steps.append((steps[start][0], start + 1 - s))
+            step = (steps[start][0], start + 1 - s)
+            steps.append(intern(step, step))
             tops.append(s)
             lows.append(start + 1)
-            blocks[node] = (start, s + 1, first, len(tops))
+            if s + 1 - start >= COPY_MIN:
+                blocks[node] = (start, s + 1, first, len(tops))
     return SingleWordAutomaton(steps, nodes, tops, lows)
 
 

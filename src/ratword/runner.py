@@ -102,8 +102,8 @@ class Trace:
     word's run against itself), tau's copies make long diagonal stretches.
     After each loop closure `sync_step` crosses one of at least STRETCH_MIN
     steps at once, by slices and list operations; a shorter one is left to
-    the letter-by-letter run.  From the pair (s, t) at entry e, a stretch of k steps takes the step
-    from (s + q, t + q) for q = 0..k-1 while:
+    the letter-by-letter run.  From the pair (s, t) at entry e, a stretch
+    of k steps takes the step from (s + q, t + q) for q = 0..k-1 while:
     - the steps s + q and t + q are equal, so they read one letter and lead
       alike: a letter one state up, an w-token back by its body's token
       count less one;
@@ -249,8 +249,7 @@ def sync_step(left, right, trace: Trace):
         b, e = step_r
         if a != b:
             return a, b
-        s += d
-        t += e
+        s, t = s + d, t + e
         pair = (s, t)
         if pair not in index and not (segments and trace.entry(pair) is not None):
             index[pair] = len(lefts)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+from ratword.automaton import SingleWordAutomaton
 from ratword.expr import Concat, Letter, Omega
 from ratword.oracles import is_prime_finite
 from ratword.ordinal import Ordinal
@@ -85,6 +86,10 @@ def targets(auto):
     return [(a, s + d) for s, (a, d) in enumerate(auto.table[:auto.n])]
 
 
-def relative(succ):
-    """The steps of the transitions s -letter-> target given in succ."""
-    return [(a, target - s) for s, (a, target) in enumerate(succ)]
+def hand_built(succ):
+    """The automaton with the transitions s -letter-> target given in succ,
+    its back edges read off them, and no nodes: it is compiled from no
+    expression."""
+    tops = [s for s, (_, target) in enumerate(succ) if target <= s]
+    return SingleWordAutomaton([(a, target - s) for s, (a, target) in enumerate(succ)], (),
+                               tops, [succ[s][1] for s in tops])

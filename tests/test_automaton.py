@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratword.automaton import (AutomatonError, MissingLimitError, SharpAutomaton,
-                               SingleWordAutomaton, compile_expr, expr_of_range,
-                               numbered_word, suffix_word, to_dot, validate)
+                               compile_expr, expr_of_range, numbered_word, suffix_word,
+                               to_dot, validate)
 from ratword.duplication import tau
 from ratword.expr import (Concat, Letter, Omega, concat, expr_length, format_expr,
                           parse_expr, prefix_to, split_at, suffix_from)
@@ -16,7 +16,7 @@ from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import OMEGA, ONE, ZERO, Ordinal, sub_left
 
-from helpers import random_finite_word, reference_compile, relative, targets
+from helpers import hand_built, random_finite_word, reference_compile, targets
 from test_order import interval_limit
 
 W = Ordinal.omega
@@ -90,13 +90,12 @@ def test_validate_towers():
 def _looped(limits):
     """Hand-built automaton over 'a' with the limit transition {lo..hi} -> hi+1
     and the backward transition hi -> lo for each given interval.  It has no
-    nodes: it is compiled from no expression, and validate reads none.  Its
-    back edges are read off its steps when it is built."""
+    nodes: it is compiled from no expression, and validate reads none."""
     n = max(hi for _, hi in limits) + 1
     succ = [("a", s + 1) for s in range(n)]
     for lo, hi in limits:
         succ[hi] = ("a", lo)
-    auto = SingleWordAutomaton(relative(succ), ())
+    auto = hand_built(succ)
     assert targets(auto) == succ
     assert auto.limits == {(lo, hi): hi + 1 for lo, hi in limits}
     return auto
@@ -107,10 +106,7 @@ def test_construction_refuses_transitions_that_skip_ahead():
     which holds only while no transition skips ahead; construction checks
     it."""
     with pytest.raises(AutomatonError, match=re.escape("successor 1->3 skips ahead")):
-        SingleWordAutomaton(relative([("a", 1), ("a", 3), ("a", 3)]), ())
-    # given with its back edges, as compile_expr gives them, alike
-    with pytest.raises(AutomatonError, match=re.escape("successor 1->3 skips ahead")):
-        SingleWordAutomaton(relative([("a", 1), ("a", 3), ("a", 3)]), (), [], [])
+        hand_built([("a", 1), ("a", 3), ("a", 3)])
 
 
 def test_construction_refuses_targets_below_state_zero():
@@ -118,17 +114,15 @@ def test_construction_refuses_targets_below_state_zero():
     refused it, the in-loop table read [0, 0] for the interval [-1, 0]
     that a back edge 0 -> -1 names."""
     with pytest.raises(AutomatonError, match=re.escape("successor 0->-1 leaves the states")):
-        SingleWordAutomaton(relative([("a", -1)]), ())
+        hand_built([("a", -1)])
     with pytest.raises(AutomatonError, match=re.escape("successor 2->-3 leaves the states")):
-        SingleWordAutomaton(relative([("a", 1), ("b", 2), ("a", -3)]), ())
-    with pytest.raises(AutomatonError, match=re.escape("successor 2->-3 leaves the states")):
-        SingleWordAutomaton(relative([("a", 1), ("b", 2), ("a", -3)]), (), [2], [-3])
+        hand_built([("a", 1), ("b", 2), ("a", -3)])
 
 
 def test_validate_reports_a_transition_into_state_zero_once():
     """State 0 is a state: a transition into it is reported once, as
     entering state 0, and not as leaving the states."""
-    assert validate(SingleWordAutomaton(relative([("a", 0), ("b", 2)]), ())) == \
+    assert validate(hand_built([("a", 0), ("b", 2)])) == \
         ["state 0 is entered by a transition"]
 
 
