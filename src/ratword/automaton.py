@@ -18,9 +18,8 @@ nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from operator import itemgetter
 
 from .expr import Concat, Letter, Omega, RatExpr, concat, split_at
@@ -75,14 +74,14 @@ class SingleWordAutomaton:
         return {(lo, hi): hi + 1 for lo, hi in zip(self.loop_lows, self.loop_tops)}
 
     @cached_property
-    def _least_low(self) -> list[int]:
-        """min(loop_lows[k:]) at k."""
-        return list(accumulate(reversed(self.loop_lows), min))[::-1]
+    def _sorted_lows(self) -> list[int]:
+        return sorted(self.loop_lows)
 
     def in_loop(self, s: int) -> bool:
-        """Whether some back edge hi -> lo has lo <= s <= hi."""
-        k = bisect_left(self.loop_tops, s)
-        return k < len(self.loop_tops) and self._least_low[k] <= s
+        """Whether some back edge hi -> lo has lo <= s <= hi: more loops
+        start at or before s than end before it, since each that ends
+        before s starts before it too."""
+        return bisect_right(self._sorted_lows, s) > bisect_left(self.loop_tops, s)
 
     def limit_target(self, hi: int) -> int:
         """The target of the limit transition taken when the loop topped by
