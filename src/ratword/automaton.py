@@ -206,6 +206,7 @@ class SharpAutomaton:
         self.base = base
         self.table = base.table
         self.loop_tops, self.loop_lows = base.loop_tops, base.loop_lows
+        self.i = None
         self.retarget(i, j)
 
     def retarget(self, i: int, j: int) -> None:
@@ -214,7 +215,7 @@ class SharpAutomaton:
         base = self.base
         if not 0 <= i < j <= base.n:
             raise AutomatonError(f"bad state range [{i}, {j}]")
-        if base.in_loop(i):
+        if i != self.i and base.in_loop(i):     # the current i was checked
             raise AutomatonError(f"state {i} lies inside a loop")
         self.i = self.initial = i
         self.jump = j
@@ -272,11 +273,11 @@ def suffix_word(auto: SingleWordAutomaton, q: int) -> RatExpr | None:
         return None
     trace = Trace((q, q))
     sync_step(auto, auto, trace)
-    lefts, table = trace._lefts, auto.table
-    cascades = dict(zip(trace._limit_at, trace._cascades))
+    pairs, table = trace.pairs(), auto.table
+    cascades = dict(zip(*trace._limits()))
     parts: list[RatExpr] = []
-    for m in range(1, len(lefts)):
-        piece = Letter(table[lefts[m - 1]][0])
+    for m in range(1, len(pairs)):
+        piece = Letter(table[pairs[m - 1][0]][0])
         for idx in cascades.get(m, ()):
             parts, body = split_at(concat(parts + [piece]), trace.position(idx))
             piece = Omega(concat(body))

@@ -121,11 +121,11 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
             history.reset((j, i))
             sharp.retarget(i, j)
             a, b = sync_step(auto, sharp, history)
-            # every entry after the first is one 1a/1b/1c step, and one
-            # more step read the stop.  Every letter adds a new pair, so
-            # every run ends, and a budget checked after each run refuses
-            # the same inputs as one checked before each step.
-            steps += len(lefts)
+            # every entry after the first, a stretch's hidden ones too, is
+            # one 1a/1b/1c step, and one more step read the stop.  Every
+            # letter adds a new pair, so every run ends, and a budget checked
+            # after each run refuses the same inputs as one before each step.
+            steps += len(lefts) + history._hidden
             if keep_log:
                 log += _run_records(history, j)
             k, top = lefts[-1], max(lefts)

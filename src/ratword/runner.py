@@ -14,7 +14,7 @@ the benchmark's layer trace (`perfbench/layertrace.py`) wraps
 
 The trace stores neither the ordinal position at which each pair was first
 reached, which `Trace.position` derives when asked, nor the states that a
-closure collapses (see `Trace`).
+closure collapses, and it keeps each stretch as one item (see `Trace`).
 
 `sync_step` is the package's one walk along transitions: `suffix_word` and
 `primitive_root` read a word's suffixes and prefix lengths off the trace of
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import compress, count
-from operator import ne
 
 from .ordinal import Ordinal, sub_left, OMEGA, ONE, ZERO
 
@@ -91,19 +90,12 @@ class Trace:
     holds every other window of the cascade, and `closures` reads the top
     of each limit entry's collapsed states from it.
 
-    The entries' pairs are listed by component in `_lefts` and `_rights`.
-    A pair the run reached step by step is indexed in the dict `_index`;
-    the pairs (s + 1, t + 1)..(s + k, t + k) of a diagonal stretch from the
-    pair (s, t) at entry e, at the entries e + 1..e + k, are kept as the
-    one segment (s + 1, s + k, e + 1) of the diagonal s - t in
-    `_segments`.  `entry` looks a pair up in both.
-
     When both components read one word's steps (the marking run, and a
     word's run against itself), tau's copies make long diagonal stretches.
     After each loop closure `sync_step` crosses one of at least STRETCH_MIN
-    steps at once, by slices and list operations; a shorter one is left to
-    the letter-by-letter run.  From the pair (s, t) at entry e, a stretch
-    of k steps takes the step from (s + q, t + q) for q = 0..k-1 while:
+    steps at once; a shorter one is left to the letter-by-letter run.  From
+    the pair (s, t) at entry e, a stretch of k steps takes the step from
+    (s + q, t + q) for q = 0..k-1 while:
     - the steps s + q and t + q are equal, so they read one letter and lead
       alike: a letter one state up, an w-token back by its body's token
       count less one;
@@ -120,20 +112,38 @@ class Trace:
     state: for a sharp, t + q < j, and the limit to t + q + 1 <= j stays
     inside it.  That pair is new, so the cascade is the one entry
     e + q + d, and the limit entry is (s + q + 1, t + q + 1).  So a stretch
-    appends k consecutive pairs, and for each w-token s + r with back edge
-    s + r -> lo the limit entry e + r + 1 with the cascade (e + lo - s,)."""
+    makes k consecutive entries, and for each w-token s + r with back edge
+    s + r -> lo the limit entry e + r + 1 with the cascade (e + lo - s,).
+
+    The pairs are listed by component in `_lefts` and `_rights`, one item
+    per entry but one per stretch, its last pair.  `_index` maps a pair the
+    run reached step by step to its item; the stretch from (s, t) at entry
+    e is the segment (s + 1, s + k, e + 1, item) of the diagonal s - t in
+    `_segments`.  The marking run reads the items alone, which answer as the
+    entries would: a stretch's states increase in both components, so a
+    closure window that starts in it, and `max(_lefts)`, peak at its item;
+    it stops before the sharp's jump state j, so only its item may have the
+    right state j; and `_lefts[-1]` is the last pair.  `len`, `entry`,
+    `position`, `pairs`, `closures`, `_limit_at` and `_cascades` number the
+    entries as if written out; the last two hold the closures the run made,
+    and `_limits` adds each stretch's."""
 
     def __init__(self, first: tuple[int, int]):
-        self._lefts: list[int] = [first[0]]              # the pairs, by component
+        self._lefts: list[int] = [first[0]]              # the items, by component
         self._rights: list[int] = [first[1]]
         self._index: dict[tuple[int, int], int] = {first: 0}
-        # the stretches, by diagonal s - t: (s_lo, s_hi, entry of s_lo), by s_lo
-        self._segments: dict[int, list[tuple[int, int, int]]] = {}
+        # the stretches, by diagonal s - t: (s_lo, s_hi, entry of s_lo, item), by s_lo
+        self._segments: dict[int, list[tuple[int, int, int, int]]] = {}
+        # by item: (item, entries hidden up to it, len(_limit_at) then, its back
+        # edges' range in `_loops`, set with it, and the entry e of (s, t) less s)
+        self._stretches: list[tuple[int, ...]] = []
+        self._hidden = 0             # the entries that are no item
         self._indexed_top = -1       # the greatest left state of _index ...
-        self._indexed_upto = 0       # ... among the entries before this one
+        self._indexed_upto = 0       # ... among the items before this one
         self._limit_at: list[int] = [0]                  # limit entry indices, increasing
         self._cascades: list[tuple[int, ...]] = [()]
         self._limit_pos: list[Ordinal] = [ZERO]          # of the first limit entries
+        self._view = (0,)            # entry count, then its limit entries and cascades
 
     def reset(self, first: tuple[int, int]) -> None:
         """Start the trace over from the pair `first`, in place, holding
@@ -146,27 +156,30 @@ class Trace:
         self._index[first] = 0
         if self._indexed_upto:       # a stretch was looked for
             self._segments.clear()
-            self._indexed_top, self._indexed_upto = -1, 0
+            self._stretches.clear()
+            self._hidden, self._view, self._indexed_top, self._indexed_upto = 0, (0,), -1, 0
         del self._limit_at[1:], self._cascades[1:], self._limit_pos[1:]
 
     def __len__(self) -> int:
-        return len(self._lefts)
+        return len(self._lefts) + self._hidden
 
     def entry(self, pair: tuple[int, int]) -> int | None:
-        """The index of the entry holding `pair`, None if the run has not
-        reached it: looked up among the entries the run made step by step,
-        then among the stretches on the pair's diagonal."""
-        idx = self._index.get(pair)
-        if idx is None and self._segments:
-            s, t = pair
-            segments = self._segments.get(s - t)
-            if segments:
-                k = bisect_left(segments, (s + 1,))
-                if k:
-                    lo, hi, first = segments[k - 1]
-                    if s <= hi:
-                        return first + s - lo
-        return idx
+        """The index of the entry holding `pair`, None if not reached."""
+        return (self._locate(pair) or (None, None))[1]
+
+    def _locate(self, pair: tuple[int, int]) -> tuple[int, int] | None:
+        """(item, entry) of `pair`, None if not reached: looked up among the
+        pairs reached step by step, then among the stretches of its diagonal."""
+        item = self._index.get(pair)
+        if item is not None:
+            k = bisect_left(self._stretches, (item,))
+            return item, item + (self._stretches[k - 1][1] if k else 0)
+        s, t = pair
+        segments = self._segments.get(s - t)
+        if segments and (k := bisect_left(segments, (s + 1,))):
+            lo, hi, first, item = segments[k - 1]
+            if s <= hi:
+                return item, first + s - lo
 
     def _unseen(self, s: int, t: int, k: int) -> int:
         """How many of the pairs (s + q, t + q), q = 1..k, come before the
@@ -178,7 +191,7 @@ class Trace:
                 return 0
             if pos < len(segments):
                 k = min(k, segments[pos][0] - s - 1)
-        # every entry since the last stretch is in _index
+        # every item since the last stretch is in _index
         lefts = self._lefts
         top = self._indexed_top = max(self._indexed_top,
                                       max(lefts[self._indexed_upto:], default=-1))
@@ -189,19 +202,47 @@ class Trace:
             k = next(compress(count(), held), k)
         return k
 
+    def _written(self, states: list[int]) -> list[int]:
+        """`_lefts` or `_rights` with each stretch written out entry by entry."""
+        out, last, hidden = [], 0, 0
+        for item, upto, *_ in self._stretches:
+            out += states[last:item]
+            out += range(states[item] + hidden - upto, states[item] + 1)
+            last, hidden = item + 1, upto
+        return out + states[last:]
+
+    def _limits(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The limit entries and cascades, each stretch's after the closures
+        made before it (see above), kept until the trace grows."""
+        if not self._stretches:
+            return self._limit_at, self._cascades
+        if self._view[0] != len(self):
+            limit_at, cascades, made = [], [], 0
+            tops, lows = self._loops
+            for _, _, at, first, end, e in self._stretches:
+                limit_at += self._limit_at[made:at]
+                limit_at += map((e + 1).__add__, tops[first:end])
+                cascades += self._cascades[made:at]
+                cascades += zip(map(e.__add__, lows[first:end]))
+                made = at
+            self._view = (len(self), limit_at + self._limit_at[made:],
+                          cascades + self._cascades[made:])
+        return self._view[1:]
+
     def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self._lefts, self._rights))
+        return list(zip(self._written(self._lefts), self._written(self._rights)))
 
     def lefts_paired_with(self, right: int) -> set[int]:
-        """The left states of the pairs whose right state is `right`."""
+        """The left states of the items whose right state is `right`."""
         return set(compress(self._lefts, map(right.__eq__, self._rights)))
 
     def closures(self):
         """(entry, top) for each limit entry after the first: its index and
         the greatest right state its cascade collapsed, the top of its last
         closure's window."""
-        rights = self._rights
-        for m, cascade in zip(self._limit_at[1:], self._cascades[1:]):
+        rights = self._written(self._rights)
+        limit_at, cascades = self._limits()
+        for m, cascade in zip(limit_at[1:], cascades[1:]):
             yield m, max(rights[cascade[-1]:m])
 
     def position(self, i: int) -> Ordinal:
@@ -209,21 +250,22 @@ class Trace:
         i counts from the end).  A limit entry's position depends only on
         earlier entries, so the missing ones are derived in order and kept."""
         if i < 0:
-            i += len(self._lefts)
-        if not 0 <= i < len(self._lefts):
+            i += len(self)
+        if not 0 <= i < len(self):
             raise IndexError(f"trace entry {i} out of range")
-        for k in range(len(self._limit_pos), bisect_right(self._limit_at, i)):
-            pos = self._derived(self._limit_at[k] - 1) + ONE
-            for entry in self._cascades[k]:
-                entry_pos = self._derived(entry)
+        limit_at, cascades = self._limits()
+        for k in range(len(self._limit_pos), bisect_right(limit_at, i)):
+            pos = self._derived(limit_at[k] - 1, limit_at) + ONE
+            for entry in cascades[k]:
+                entry_pos = self._derived(entry, limit_at)
                 pos = entry_pos + sub_left(entry_pos, pos) * OMEGA
             self._limit_pos.append(pos)
-        return self._derived(i)
+        return self._derived(i, limit_at)
 
-    def _derived(self, i: int) -> Ordinal:
+    def _derived(self, i: int, limit_at: list[int]) -> Ordinal:
         """Position of entry i, once the limit entry at or before it is known."""
-        k = bisect_right(self._limit_at, i) - 1
-        return self._limit_pos[k] + Ordinal.from_int(i - self._limit_at[k])
+        k = bisect_right(limit_at, i) - 1
+        return self._limit_pos[k] + Ordinal.from_int(i - limit_at[k])
 
 
 def sync_step(left, right, trace: Trace):
@@ -251,7 +293,7 @@ def sync_step(left, right, trace: Trace):
             return a, b
         s, t = s + d, t + e
         pair = (s, t)
-        if pair not in index and not (segments and trace.entry(pair) is not None):
+        if pair not in index and not (segments and trace._locate(pair)):
             index[pair] = len(lefts)
             lefts.append(s)
             rights.append(t)
@@ -260,16 +302,17 @@ def sync_step(left, right, trace: Trace):
         # run entered an outer loop mid-cycle.  Each closure collapses the
         # loop named by the greatest state of its window, the pairs from
         # its entry on.
-        # until the run crosses a stretch, every pair is in the dict
-        find = trace.entry if segments else index.get
+        # until the run crosses a stretch, every pair is in the dict as its entry
+        find = trace._locate if segments else index.get
         cascade = []
-        while (idx := find(pair)) is not None:
+        while (found := find(pair)) is not None:
+            item, idx = found if segments else (found, found)
             cascade.append(idx)
-            s = left.limit_target(max(lefts[idx:]))
-            t = right.limit_target(max(rights[idx:]))
+            s = left.limit_target(max(lefts[item:]))
+            t = right.limit_target(max(rights[item:]))
             pair = (s, t)
         index[pair] = len(lefts)
-        trace._limit_at.append(len(lefts))
+        trace._limit_at.append(len(lefts) + trace._hidden)
         lefts.append(s)
         rights.append(t)
         trace._cascades.append(tuple(cascade))
@@ -282,19 +325,20 @@ def sync_step(left, right, trace: Trace):
 
 
 def _cross_stretch(left, right, trace: Trace) -> int:
-    """Cross the diagonal stretch from the trace's last pair (s, t), append
-    its entries and return its length k, 0 if there is none (see `Trace`).
+    """Cross the diagonal stretch from the trace's last pair (s, t), add it
+    as one item and return its length k, 0 if there is none (see `Trace`).
     Both components read the same `table`, whose first STRETCH_MIN steps
     from s and from t agree."""
     lefts, rights = trace._lefts, trace._rights
-    base = len(lefts) - 1
-    s, t = lefts[base], rights[base]
+    s, t = lefts[-1], rights[-1]
+    # a stretch stops before the jump state, if any, and the final state
     final = len(left.table) - 1
-    k = min(_end(left.jump, final) - s, _end(right.jump, final) - t)
+    k = min((final if left.jump < 0 else left.jump) - s,
+            (final if right.jump < 0 else right.jump) - t)
     if k < STRETCH_MIN:
         return 0
     k = STRETCH_MIN + _agreeing(left.table, s + STRETCH_MIN, t + STRETCH_MIN, k - STRETCH_MIN)
-    tops, lows = left.loop_tops, left.loop_lows
+    tops, lows = trace._loops = left.loop_tops, left.loop_lows
     first = bisect_left(tops, s)
     end = bisect_left(tops, s + k, first)
     # the first back edge landing before s ends the stretch before its token
@@ -304,34 +348,29 @@ def _cross_stretch(left, right, trace: Trace) -> int:
     k = trace._unseen(s, t, k)
     if not k:
         return 0
-    end = bisect_left(tops, s + k, first, end)
-    lefts.extend(range(s + 1, s + k + 1))
-    rights.extend(range(t + 1, t + k + 1))
-    trace._indexed_upto = len(lefts)
-    # w-token s + r closes its loop at once, on the entry its back edge
-    # lands on, and reaches the limit entry s + r + 1
-    trace._limit_at.extend(map((base + 1 - s).__add__, tops[first:end]))
-    trace._cascades.extend(zip(map((base - s).__add__, lows[first:end])))
-    insort(trace._segments.setdefault(s - t, []), (s + 1, s + k, base + 1))
+    lefts.append(s + k)
+    rights.append(t + k)
+    item = len(lefts) - 1
+    trace._indexed_upto, e = item + 1, item - 1 + trace._hidden
+    insort(trace._segments.setdefault(s - t, []), (s + 1, s + k, e + 1, item))
+    trace._hidden += k - 1
+    trace._stretches.append((item, trace._hidden, len(trace._limit_at), first,
+                             bisect_left(tops, s + k, first, end), e - s))
     return k
-
-
-def _end(jump: int, final: int) -> int:
-    """The state before which a stretch stops: the jump state, if any, and
-    the final state."""
-    return min(jump, final) if jump >= 0 else final
 
 
 def _agreeing(table: tuple, s: int, t: int, k: int) -> int:
     """The length of the common prefix of table[s:s+k] and table[t:t+k]:
-    slices that double in length are compared until one differs, and
-    that one is scanned for the first step that differs."""
+    slices that double in length are compared until one differs, and that
+    one is halved down to the first step that differs."""
     lo, step = 0, 32
     while lo < k:
         hi = min(lo + step, k)
         if table[s + lo:s + hi] != table[t + lo:t + hi]:
-            return next(compress(count(lo), map(ne, table[s + lo:s + hi],
-                                                table[t + lo:t + hi])))
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if table[s + lo:s + mid] == table[t + lo:t + mid] else (lo, mid)
+            return lo
         lo, step = hi, 2 * step
     return k
 

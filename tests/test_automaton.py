@@ -170,6 +170,25 @@ def test_sharp_range_checks():
         (fresh.i, fresh.initial, fresh.jump, fresh.back, fresh.table)
 
 
+def test_retarget_checks_only_a_new_cut(monkeypatch):
+    """retarget asks in_loop only for an i other than the sharp's own, which
+    was checked when it was set; a new i inside a loop is refused with the
+    same message, and leaves the sharp as it was."""
+    auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
+    asked = []
+    in_loop = auto.in_loop
+    monkeypatch.setattr(auto, "in_loop", lambda s: asked.append(s) or in_loop(s))
+    sharp = SharpAutomaton(auto, 0, 4)
+    sharp.retarget(0, 9)
+    sharp.retarget(4, 12)
+    sharp.retarget(4, 9)
+    with pytest.raises(AutomatonError, match=re.escape("state 6 lies inside a loop")):
+        sharp.retarget(6, 9)
+    assert (sharp.i, sharp.jump, sharp.back) == (4, 9, ("a", 5 - 9))
+    sharp.retarget(4, 12)
+    assert asked == [0, 4, 6]
+
+
 def test_sharp_shape():
     auto = compile_expr(tau(parse_expr("(a^wb)^wa^w")))
     sharp = SharpAutomaton(auto, 0, 4)

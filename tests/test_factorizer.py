@@ -1,9 +1,11 @@
 """State-marking factorizer: frozen worked examples and invariants."""
 
+import functools
 import random
 
 import pytest
 
+from ratword import factorizer, runner
 from ratword import (
     compile_expr,
     extract_factorization,
@@ -14,6 +16,7 @@ from ratword import (
     word_equal,
 )
 from ratword.automaton import AutomatonError
+from ratword.duplication import tau
 from ratword.factorizer import FactorizeError, factorize_states
 from ratword.gen import random_expr
 
@@ -120,3 +123,28 @@ def test_reconstruction_random():
             word_equal(p1, p2) and a1 == a2
             for (p1, a1), (p2, a2) in zip(fact.blocks,
                                           factorize_structural(e).blocks))
+
+
+def test_depth_16_tower_marks_on_few_trace_items(monkeypatch):
+    """Cost law of the marking run on the depth-16 tower
+    ((...((ac)^wa)^wb...)^wc)^wa, n = 262,142: 262,210 steps, counted from
+    the stretches' lengths with no stretch written out, while no run's
+    trace holds more than 128 items, each diagonal stretch being one."""
+    items = []
+
+    def counting(left, right, trace):
+        stop = runner.sync_step(left, right, trace)
+        items.append(len(trace._lefts))
+        return stop
+
+    def written(trace, states):
+        raise AssertionError("the marking run wrote a stretch out")
+
+    monkeypatch.setattr(factorizer, "sync_step", counting)
+    monkeypatch.setattr(runner.Trace, "_written", written)
+    text = functools.reduce(lambda t, c: f"({t})^w{c}", "abcabcabcabcabca", "ac")
+    auto = compile_expr(tau(parse_expr(text)))
+    state = factorize_states(auto)
+    assert (auto.n, state.steps) == (262_142, 262_210)
+    assert max(items) <= 128
+    compile_expr.cache_clear()

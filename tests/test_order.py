@@ -307,20 +307,29 @@ class CountingLimits:
 # closure collapses the loop named by the greatest state of its own window.
 # The reference below is the run as first written, one step per call: it
 # returns the pair that a letter reached (Advanced) or that a cascade of
-# loop closures reached (LoopClosed), stores the same entries, limit
-# entries and cascades, and carries the states each cascade collapsed as
-# spans on a ReferenceTrace.  A closure there widens the span so far with
-# its window and with the spans carried by the limit entries after its
-# entry, and looks the limit up by the whole span (`interval_limit`).
+# loop closures reached (LoopClosed), stores every entry, limit entry and
+# cascade, and carries the states each cascade collapsed as spans on a
+# ReferenceTrace.  A closure there widens the span so far with its window
+# and with the spans carried by the limit entries after its entry, and
+# looks the limit up by the whole span (`interval_limit`).
 
-class ReferenceTrace(Trace):
-    """A runner.Trace that also carries, by component, lo and hi of the
-    states collapsed by the cascade of each limit entry after the first."""
+class ReferenceTrace:
+    """The trace as first written, with no stretch: every entry's pair, by
+    component in `lefts` and `rights` and indexed in `index`, the limit
+    entries and their cascades, and, by component, lo and hi of the states
+    collapsed by the cascade of each limit entry after the first."""
 
     def __init__(self, first):
-        super().__init__(first)
-        self._carried_l = []
-        self._carried_r = []
+        self.lefts, self.rights = [first[0]], [first[1]]
+        self.index = {first: 0}
+        self.limit_at, self.cascades = [0], [()]
+        self.carried_l, self.carried_r = [], []
+
+    def pairs(self):
+        return list(zip(self.lefts, self.rights))
+
+    def lefts_paired_with(self, right):
+        return {s for s, t in zip(self.lefts, self.rights) if t == right}
 
 
 class Advanced:
@@ -348,44 +357,44 @@ def collect_loop(trace, idx, span):
     """Widen span to the component states of the loop that entry idx opens:
     the pairs from idx on, and the spans carried by the limit entries after
     idx."""
-    k = 2 * (bisect_right(trace._limit_at, idx) - 1)
-    lefts = trace._lefts[idx:] + trace._carried_l[k:] + span[:2]
-    rights = trace._rights[idx:] + trace._carried_r[k:] + span[2:]
+    k = 2 * (bisect_right(trace.limit_at, idx) - 1)
+    lefts = trace.lefts[idx:] + trace.carried_l[k:] + span[:2]
+    rights = trace.rights[idx:] + trace.carried_r[k:] + span[2:]
     span[:] = min(lefts), max(lefts), min(rights), max(rights)
 
 
 def append_limit(trace, pair, cascade, span):
-    assert pair not in trace._index
-    trace._index[pair] = len(trace._lefts)
-    trace._limit_at.append(len(trace._lefts))
-    trace._lefts.append(pair[0])
-    trace._rights.append(pair[1])
-    trace._cascades.append(cascade)
-    trace._carried_l += span[:2]
-    trace._carried_r += span[2:]
+    assert pair not in trace.index
+    trace.index[pair] = len(trace.lefts)
+    trace.limit_at.append(len(trace.lefts))
+    trace.lefts.append(pair[0])
+    trace.rights.append(pair[1])
+    trace.cascades.append(cascade)
+    trace.carried_l += span[:2]
+    trace.carried_r += span[2:]
 
 
 def reference_step(left, right, trace):
     """Advance the product run by one letter (or one limit resolution).  A
     stop is the pair of letters read there, None for an ended component."""
-    step_l = leaving(left, trace._lefts[-1])
-    step_r = leaving(right, trace._rights[-1])
+    step_l = leaving(left, trace.lefts[-1])
+    step_r = leaving(right, trace.rights[-1])
     if step_l is None or step_r is None:
         return (step_l and step_l[0], step_r and step_r[0])
     (a, target_l), (b, target_r) = step_l, step_r
     if a != b:
         return a, b
     pair = (target_l, target_r)
-    if pair not in trace._index:
-        trace._index[pair] = len(trace._lefts)
-        trace._lefts.append(target_l)
-        trace._rights.append(target_r)
+    if pair not in trace.index:
+        trace.index[pair] = len(trace.lefts)
+        trace.lefts.append(target_l)
+        trace.rights.append(target_r)
         return Advanced(pair)
     first_entry = pair
     span = [target_l, target_l, target_r, target_r]
     cascade = []
-    while pair in trace._index:
-        idx = trace._index[pair]
+    while pair in trace.index:
+        idx = trace.index[pair]
         cascade.append(idx)
         collect_loop(trace, idx, span)
         pair = (interval_limit(left, span[0], span[1]), interval_limit(right, span[2], span[3]))
@@ -400,24 +409,55 @@ def reference_run(left, right, trace):
     return out
 
 
-TRACE_FIELDS = ("_lefts", "_rights", "_limit_at", "_cascades")
+# the fields of a runner.Trace, each stretch kept as one item
+TRACE_FIELDS = ("_lefts", "_rights", "_index", "_segments", "_stretches", "_hidden",
+                "_limit_at", "_cascades")
 
 
 def assert_same_trace(trace, reference):
-    """trace holds the reference's entries, limit entries and cascades, and
-    its one entry lookup gives the reference's index on every pair the
-    reference holds.  Its step-by-step index and its stretches together
-    hold as many pairs as the reference's index, so no other pair."""
-    for name in TRACE_FIELDS:
-        assert getattr(trace, name) == getattr(reference, name), name
-    for pair, idx in reference._index.items():
+    """trace, written out entry by entry, holds the reference's entries,
+    limit entries and cascades, and its one entry lookup gives the
+    reference's index on every pair the reference holds.  Its step-by-step
+    index and its stretches together hold as many pairs as the reference's
+    index, so no other pair, and each stretch is one item."""
+    assert len(trace) == len(reference.lefts)
+    assert trace.pairs() == reference.pairs()
+    assert trace._limits() == (reference.limit_at, reference.cascades)
+    for pair, idx in reference.index.items():
         assert trace.entry(pair) == idx, pair
-    assert len(trace._index) + stretched(trace) == len(reference._index)
+    assert len(trace._index) + stretched(trace) == len(reference.index)
+    assert len(trace._lefts) == len(trace._index) + len(trace._stretches)
+
+
+def assert_compact_reads(trace, reference, jump):
+    """What the marking run reads off the items of a compact trace is what
+    the reference's entries hold: the entry count, the last pair, the
+    greatest left state, the left states paired with the sharp's jump state,
+    and, for each closure the run made, the greatest state of its window in
+    each component, read from the item holding the closure's entry up to
+    the limit entry's item.  Returns the number of those windows that start
+    inside a stretch."""
+    lefts, rights = reference.lefts, reference.rights
+    assert len(trace) == len(lefts)
+    assert (trace._lefts[-1], trace._rights[-1]) == (lefts[-1], rights[-1])
+    assert max(trace._lefts) == max(lefts)
+    assert trace.lefts_paired_with(jump) == reference.lefts_paired_with(jump)
+    inside = 0
+    for m, cascade in zip(trace._limit_at[1:], trace._cascades[1:]):
+        end = trace._locate((lefts[m], rights[m]))
+        assert end == (trace._index[(lefts[m], rights[m])], m)
+        for idx in cascade:
+            item, entry = trace._locate((lefts[idx], rights[idx]))
+            assert entry == idx
+            assert max(trace._lefts[item:end[0]]) == max(lefts[idx:m])
+            assert max(trace._rights[item:end[0]]) == max(rights[idx:m])
+            inside += (lefts[idx], rights[idx]) not in trace._index
+    return inside
 
 
 def stretched(trace):
     """The number of entries a trace holds in its stretches."""
-    return sum(hi - lo + 1 for segments in trace._segments.values() for lo, hi, _ in segments)
+    return sum(hi - lo + 1 for segments in trace._segments.values() for lo, hi, *_ in segments)
 
 
 def test_cascading_closure_positions():
@@ -455,13 +495,13 @@ def test_reset_trace_reruns_as_a_fresh_one():
         trace.reset(first)
         fresh = Trace(first)
         assert sync_step(left, right, trace) == sync_step(left, right, fresh)
-        for name in TRACE_FIELDS + ("_index", "_segments"):
+        for name in TRACE_FIELDS:
             assert getattr(trace, name) == getattr(fresh, name), name
         assert [trace.position(i) for i in range(len(trace))] == \
             [fresh.position(i) for i in range(len(fresh))]
         assert trace._limit_pos == fresh._limit_pos
         cascaded += max(map(len, trace._cascades)) > 1
-    assert cascaded == 2 and trace._limit_at == [0, 1, 3]
+    assert cascaded == 2 and trace._limit_at == [0, 1, 3] and not trace._stretches
 
 
 class SetTrace:
@@ -532,10 +572,12 @@ class RunsAgainstReference:
     window, in each component, is the whole loop its top names.  It sums
     the loop closures, the steps that closed more than one loop, the
     closures whose carried sets added states, and the entries made by
-    crossing a diagonal stretch."""
+    crossing a diagonal stretch.  It also checks the reads that the marking
+    run makes on the trace's items (`assert_compact_reads`), and sums the
+    closure windows among them that start inside a stretch."""
 
     def __init__(self):
-        self.closures = self.cascades = self.widened = self.stretched = 0
+        self.closures = self.cascades = self.widened = self.stretched = self.inside = 0
 
     def __call__(self, left, right, trace):
         assert len(trace) == 1        # one call per run, on a fresh trace
@@ -544,22 +586,23 @@ class RunsAgainstReference:
         reference, shadow = ReferenceTrace(first), SetTrace(first)
         assert out == reference_run(left, right, reference)
         assert_same_trace(trace, reference)
+        self.inside += assert_compact_reads(trace, reference, right.jump)
         while set_step(left, right, shadow) is not None:
             pass
-        assert trace.pairs() == shadow.pairs and trace._limit_at == shadow.limit_at
-        lefts, rights = reference._carried_l, reference._carried_r
+        limit_at, cascades = trace._limits()
+        assert trace.pairs() == shadow.pairs and limit_at == shadow.limit_at
+        lefts, rights = reference.carried_l, reference.carried_r
         spans = list(zip(lefts[::2], lefts[1::2], rights[::2], rights[1::2]))
         assert len(spans) == len(shadow.carried) - 1
         for (llo, lhi, rlo, rhi), sets in zip(spans, shadow.carried[1:]):
             assert sets == (set(range(llo, lhi + 1)), set(range(rlo, rhi + 1)))
-        limits = trace._limit_at[1:]
         assert list(trace.closures()) == [(m, rhi) for m, (_, _, _, rhi)
-                                          in zip(limits, spans)]
-        for m, cascade, span in zip(limits, trace._cascades[1:], spans):
-            window = trace._lefts[cascade[-1]:m]
+                                          in zip(limit_at[1:], spans)]
+        for m, cascade, span in zip(limit_at[1:], cascades[1:], spans):
+            window = reference.lefts[cascade[-1]:m]
             assert (min(window), max(window)) == span[:2]
             for idx in cascade:
-                for auto, states in ((left, trace._lefts), (right, trace._rights)):
+                for auto, states in ((left, reference.lefts), (right, reference.rights)):
                     window = states[idx:m]
                     assert min(window) == loop_start(auto, max(window))
         self.closures += len(spans)
@@ -644,7 +687,7 @@ def test_stretches_in_the_factorizer_are_the_step_by_step_run(monkeypatch, least
     closures, stretched_in_towers = check.closures, check.stretched
     for _ in range(300):
         factorizer.factorize(random_expr(rng, max_size=12, max_depth=3, letters="abc"))
-    assert closures > 3000 and stretched_in_towers > 5000
+    assert closures > 3000 and stretched_in_towers > 5000 and check.inside > 0
     if least == 1:
         assert check.stretched > stretched_in_towers + 300
     compile_expr.cache_clear()
@@ -670,7 +713,7 @@ def test_stretches_of_a_word_against_itself_are_the_step_by_step_run(monkeypatch
                 trace = Trace(first)
                 check(auto, auto, trace)
                 for d, segments in list(trace._segments.items()):
-                    for lo, _, _ in segments:
+                    for lo, *_ in segments:
                         for s in range(max(0, lo - 4, d), lo):
                             t, k = s - d, auto.n - max(s, s - d)
                             # the stretch lies ahead, so some pair is held
@@ -689,10 +732,13 @@ def test_stretches_of_a_word_against_itself_are_the_step_by_step_run(monkeypatch
 
 def cross_then_run(left, right, first):
     """Cross the stretch from the pair `first` (whose first tokens agree),
-    run on to the stop, and check the trace against the step-by-step
-    reference run from `first`.  Returns the stretch's length and the trace."""
+    read the last entry's position, run on to the stop, and check the trace
+    against the step-by-step reference run from `first`: what was read
+    before the run went on is not kept stale.  Returns the stretch's length
+    and the trace."""
     trace = Trace(first)
     k = runner._cross_stretch(left, right, trace)
+    trace.position(-1)
     stop = sync_step(left, right, trace)
     reference = ReferenceTrace(first)
     assert stop == reference_run(left, right, reference)
@@ -714,7 +760,8 @@ def test_stretch_stops_before_tokens_that_differ_or_leave(monkeypatch, text, fir
     s, t = first
     assert got == k
     assert trace.pairs()[:k + 1] == [(s + q, t + q) for q in range(k + 1)]
-    assert trace._segments == {s - t: [(s + 1, s + k, 1)]}
+    assert trace._segments == {s - t: [(s + 1, s + k, 1, 1)]}
+    assert trace._stretches[0][:2] == (1, k - 1) and trace._lefts[1] == s + k
 
 
 def test_stretch_stops_before_the_jump_state(monkeypatch):
@@ -790,12 +837,12 @@ def reference_marking(auto):
             span = outcome.span
             case = "1c" if span[2] <= j <= span[3] else "1b"
             seen_left.add(outcome.pair[0])
-            cascaded += len(history._cascades[-1]) > 1
+            cascaded += len(history.cascades[-1]) > 1
         elif outcome[1] is None:
             raise FactorizeError("sharp automaton has no final state; cannot end")
         else:
             assert seen_left == set(range(i, max(seen_left) + 1))
-            k = history._lefts[-1]
+            k = history.lefts[-1]
             a, b = outcome
             if a is not None and a > b:
                 _, target = leaving(auto, k)
