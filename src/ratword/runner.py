@@ -302,7 +302,7 @@ def sync_step(left, right, trace: Trace):
         # run entered an outer loop mid-cycle.  Each closure collapses the
         # loop named by the greatest state of its window, the pairs from
         # its entry on.
-        # until the run crosses a stretch, every pair is in the dict as its entry
+        # before any stretch, every pair is in the dict and its item is its entry
         find = trace._locate if segments else index.get
         cascade = []
         while (found := find(pair)) is not None:
