@@ -12,8 +12,8 @@ transition leaving s is kept as its step (a, target - s), so the copies that
 Each token also keeps its node, the Letter or w-power of the expression it
 was compiled from.  A token range is read back from those nodes: an
 w-power inside the range is its token's node, shared with the expression,
-so reading a factor back costs its number of top-level parts and copies
-nothing.
+so reading a factor back costs its number of top-level parts, and a range
+of letters alone is one slice of the nodes.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class SingleWordAutomaton:
         raise MissingLimitError(f"state {hi} ends no loop")
 
 
-# the least block `compile_expr` copies: a shorter one costs less to walk again
+# the least block `compile_expr` copies, and the least run of letters that it
+# and `expr_of_range` take in one slice: a shorter one costs less to walk
 COPY_MIN = 8
 
 
@@ -114,7 +115,8 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
     w-power met again, as `tau` copies every body, copies its first block's
     steps and nodes by slices, and its back edges shifted, if the block
     holds at least COPY_MIN tokens.  A Concat is e or the body of its one
-    w-power, so no other block repeats.  Equal steps are one object."""
+    w-power, so no other block repeats.  A Concat of at least COPY_MIN
+    letters and no w-power is taken whole.  Equal steps are one object."""
     steps: list[tuple[str, int]] = []
     nodes: list[RatExpr] = []
     tops: list[int] = []
@@ -129,7 +131,13 @@ def compile_expr(e: RatExpr) -> SingleWordAutomaton:
             nodes.append(node)
             steps.append(_LETTER_STEPS[node])
         elif kind is Concat:
-            stack.extend(reversed(node.parts))
+            parts = node.parts
+            if len(parts) >= COPY_MIN and Omega not in map(type, parts):
+                # flattened parts with no w-power are letters, taken at once
+                nodes += parts
+                steps += map(_LETTER_STEPS.__getitem__, parts)
+            else:
+                stack.extend(reversed(parts))
         elif kind is Omega:
             block = blocks.get(node)
             if block is None:
@@ -240,9 +248,15 @@ def expr_of_range(auto: SingleWordAutomaton, lo: int, hi: int) -> RatExpr:
 
     Its parts are the automaton's own token nodes, so a range costs the
     number of its top-level parts: the walk runs back from hi, and a w-token
-    whose body starts at or after lo stands for its whole body."""
+    whose body starts at or after lo stands for its whole body.  A range of
+    at least COPY_MIN tokens that holds no w-token is the slice of its
+    letters."""
     if lo >= hi:
         raise AutomatonError("empty token range")
+    tops = auto.loop_tops
+    if hi - lo >= COPY_MIN and bisect_left(tops, lo) == bisect_left(tops, hi):
+        # no w-token in the range: its tokens are its letters
+        return concat(auto.nodes[lo:hi])
     table = auto.table
     # the body of token t starts at t + table[t][1] - 1 (t itself for a letter)
     parts: list[RatExpr] = []

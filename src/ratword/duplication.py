@@ -18,10 +18,11 @@ def tau(e: RatExpr) -> RatExpr:
     """The duplicated expression, which shares each duplicated body.  Its
     tokens are counted in the same walk, so a blow-up stops at the level
     that passes TAU_TOKENS, with a TokenBudgetError.  A word with no
-    w-power is its own duplicate, and its tokens are its letters."""
-    word = e.finite_word
-    if word is not None:
-        if len(word) > TAU_TOKENS:
+    w-power is its own duplicate, and its tokens are its letters; it is
+    told by the types of its parts, without spelling it."""
+    kind = type(e)
+    if kind is Letter or kind is Concat and Omega not in map(type, e.parts):
+        if kind is Concat and len(e.parts) > TAU_TOKENS:
             raise TokenBudgetError(f"duplicated expression exceeds {TAU_TOKENS} tokens")
         return e
 

@@ -111,6 +111,12 @@ class Omega(RatExpr):
 _set_sym, _set_parts = Letter.sym.__set__, Concat.parts.__set__
 _set_body, _set_omega_prefix = Omega.body.__set__, Omega._omega_prefix.__set__
 
+# the shared node of each letter an expression may be written with, which
+# `parse_expr` reads from the table
+for _sym in LETTERS:
+    Letter(_sym)
+del _sym
+
 
 def _set_body_and_memo(node: Omega, body: RatExpr) -> None:
     _set_body(node, body)
@@ -217,7 +223,8 @@ def format_expr(e: RatExpr) -> str:
 def parse_expr(text: str) -> RatExpr:
     """Parse the surface grammar: juxtaposition concatenates, ^w (or ^ω) is
     w-power, parentheses group.  Iterative, so any nesting depth parses; a
-    run of letters is read with one match of `_LETTER_RUN`."""
+    run of letters is read with one match of `_LETTER_RUN` and mapped
+    through the table of shared Letter nodes."""
     s = text.replace("ω", "w")
     end = len(s)
     pos = 0
@@ -246,9 +253,9 @@ def parse_expr(text: str) -> RatExpr:
                 # a run of letters: all but the last are parts as they
                 # stand, and the last may carry ^w
                 last = _LETTER_RUN.match(s, pos).end() - 1
-                parts += map(Letter, s[pos:last])
+                parts += map(_SHARED.__getitem__, s[pos:last])
                 pos = last
-            atom = Letter(s[pos])
+            atom = _SHARED[s[pos]]
             pos += 1
         else:
             raise _parse_error(text, f"unexpected character {s[pos]!r}", pos)

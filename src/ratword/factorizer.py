@@ -11,14 +11,18 @@ or the word ends).  As in Duval's algorithm, no record of the visited
 states is kept.  Main cuts end up in q_main, boundaries between copies of
 one prime in q_secondary.
 
-A candidate (the start and each 2a/2b/3 restart) whose first letters
-differ, the letter leaving the main state j against the letter leaving the
-cut i, stops at its first step, decided from those two letters alone: as
-in Duval's algorithm on a finite word, most candidates end so.  The equal-letter steps (1a, and the loop closures 1b/1c) of any
-other candidate are one product run: a single `sync_step` call runs them to
-the step that decides.  One trace and one sharp serve every such run of an
-input, reset and retargeted in place before it.  With keep_log the records
-of those steps are rebuilt from the finished trace."""
+A candidate (the start and each 2a/2b/3 restart) at (j, i) first reads its
+letter-only prefix: the letters leaving j + q and i + q, while both are
+letter tokens and i + q + 1 < j, so that the sharp's jump is not reached.
+The pairs on the way are new, so a candidate that stops there, on letters
+that differ or at the end of the word, is decided without a trace or a
+sharp: on a finite word that is Duval's comparison, and most candidates end
+so.  The equal-letter steps (1a, and the loop closures 1b/1c) of any other
+candidate are one product run from (j, i): a single `sync_step` call runs
+them to the step that decides.  One trace and one sharp serve every such run
+of an input, reset and retargeted in place before it.  With keep_log the
+records of the steps are written from the prefix's pairs or rebuilt from
+the finished trace."""
 
 from __future__ import annotations
 
@@ -111,11 +115,18 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
     while True:
         if keep_log:
             log.append(StepRecord(case, ((j, i),)))
-        # the run's first step reads the letter leaving j (None at n) and
-        # the letter leaving i: a candidate whose first letters differ stops
-        # there, with the one pair (j, i), and needs no trace or sharp
-        step = table[j]
-        a, b = None if step is None else step[0], table[i][0]
+        # the letter-only prefix: the step leaving s = j + q (None at n)
+        # against the one leaving t = i + q, while both are letters and
+        # t + 1 < j.  Its pairs (s, t) are new and none has the right state
+        # j, so a stop on it needs no trace; any other run is sync_step's.
+        s, t = j, i
+        while True:
+            step, (b, d) = table[s], table[t]
+            a = None if step is None else step[0]
+            if a != b or step[1] != 1 or d != 1 or t + 1 == j:
+                break
+            s += 1
+            t += 1
         ran = a == b
         if ran:
             history.reset((j, i))
@@ -130,8 +141,11 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
                 log += _run_records(history, j)
             k, top = lefts[-1], max(lefts)
         else:
-            steps += 1
-            k = top = j
+            steps += s - j + 1
+            k = top = s
+            if keep_log:
+                pairs = list(zip(range(j, s + 1), range(i, t + 1)))
+                log += _records(pairs, ["1a"] * len(pairs))
         if steps > budget:
             raise FactorizeError(f"exceeded step budget n^3 = {budget}")
         if b is None:
@@ -146,7 +160,7 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
             added = history.lefts_paired_with(j) if ran else set()
             added.add(j)
             if keep_log:
-                log.append(StepRecord("3", tuple(history.pairs()) if ran else ((j, i),)))
+                log.append(StepRecord("3", tuple(history.pairs() if ran else pairs)))
             i = top = max(added)
             q_secondary |= added - {top}
             q_main.add(top)
@@ -163,12 +177,17 @@ def factorize_states(auto: SingleWordAutomaton, keep_log: bool = False) -> Facto
 def _run_records(history: Trace, j: int) -> list[StepRecord]:
     """The records of the 1a/1b/1c steps that built a finished run's trace:
     entry m was reached by a letter (1a) or by a loop closure, 1c when the
-    closure collapsed the candidate's loop, topped by j, and 1b otherwise.
-    Its history is the first m + 1 pairs."""
+    closure collapsed the candidate's loop, topped by j, and 1b otherwise."""
     pairs = history.pairs()
     cases = ["1a"] * len(pairs)
     for m, top in history.closures():
         cases[m] = "1c" if top == j else "1b"
+    return _records(pairs, cases)
+
+
+def _records(pairs: list[tuple[int, int]], cases: list[str]) -> list[StepRecord]:
+    """The record of the step into each entry m after the first: its case
+    and, as its history, the first m + 1 pairs."""
     return [StepRecord(cases[m], tuple(pairs[:m + 1])) for m in range(1, len(pairs))]
 
 

@@ -34,6 +34,11 @@ from .ordinal import Ordinal, sub_left, OMEGA, ONE, ZERO
 STRETCH_MIN = 32
 
 
+# the segments of a diagonal with no stretch, as `sync_step` reads them: no
+# state lies at or below the greatest one's end
+NO_SEGMENTS = ((0, -1, 0, 0),)
+
+
 class TraceError(RuntimeError):
     pass
 
@@ -293,7 +298,11 @@ def sync_step(left, right, trace: Trace):
             return a, b
         s, t = s + d, t + e
         pair = (s, t)
-        if pair not in index and not (segments and trace._locate(pair)):
+        # a pair missing from the dict is held only within a stretch of its
+        # diagonal, so one past the diagonal's greatest stretched state is
+        # new, here and in the cascade below, without a call to _locate
+        if pair not in index and not (segments and s <= segments.get(s - t, NO_SEGMENTS)[-1][1]
+                                      and trace._locate(pair)):
             index[pair] = len(lefts)
             lefts.append(s)
             rights.append(t)
@@ -302,11 +311,13 @@ def sync_step(left, right, trace: Trace):
         # run entered an outer loop mid-cycle.  Each closure collapses the
         # loop named by the greatest state of its window, the pairs from
         # its entry on.
-        # before any stretch, every pair is in the dict and its item is its entry
-        find = trace._locate if segments else index.get
         cascade = []
-        while (found := find(pair)) is not None:
-            item, idx = found if segments else (found, found)
+        while pair in index or segments and s <= segments.get(s - t, NO_SEGMENTS)[-1][1]:
+            # before any stretch, every pair is in the dict and its item is its entry
+            found = trace._locate(pair) if segments else (index[pair],) * 2
+            if found is None:
+                break
+            item, idx = found
             cascade.append(idx)
             s = left.limit_target(max(lefts[item:]))
             t = right.limit_target(max(rights[item:]))

@@ -6,14 +6,36 @@ from __future__ import annotations
 
 import random
 
-from ratword.automaton import SingleWordAutomaton
-from ratword.expr import Concat, Letter, Omega
+from ratword.automaton import COPY_MIN, SingleWordAutomaton
+from ratword.expr import Concat, Letter, Omega, concat, fold
 from ratword.oracles import is_prime_finite
 from ratword.ordinal import Ordinal
 
 
 def random_finite_word(rng: random.Random, max_len: int, letters: str = "ab") -> str:
     return "".join(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
+
+
+def letter_run(rng: random.Random, letters: str = "ab") -> list[Letter]:
+    """COPY_MIN to 2 * COPY_MIN drawn letters: a run that `compile_expr`
+    and `expr_of_range` take in one slice."""
+    return [Letter(rng.choice(letters)) for _ in range(rng.randint(COPY_MIN, 2 * COPY_MIN))]
+
+
+def with_letter_runs(rng: random.Random, e, letters: str = "ab"):
+    """e with a letter run in front of the whole word and of each w-power's
+    body, and each letter replaced by one, one time in two: runs outside
+    and inside w-bodies, and, in a body that holds no w-power, a Concat of
+    letters alone."""
+
+    def visit(node, kids):
+        if type(node) is Letter:
+            return concat(letter_run(rng, letters)) if rng.random() < 0.5 else node
+        if type(node) is Omega:
+            return Omega(concat(letter_run(rng, letters) + kids))
+        return concat(kids)
+
+    return concat(letter_run(rng, letters) + [fold(e, visit)])
 
 
 def random_ordinal(rng: random.Random, max_exp: int = 3, max_coeff: int = 5) -> Ordinal:

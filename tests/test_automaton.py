@@ -16,7 +16,8 @@ from ratword.gen import random_expr
 from ratword.order import word_equal
 from ratword.ordinal import OMEGA, ONE, ZERO, Ordinal, sub_left
 
-from helpers import hand_built, random_finite_word, reference_compile, targets
+from helpers import (hand_built, letter_run, random_finite_word, reference_compile, targets,
+                     with_letter_runs)
 from test_order import interval_limit
 
 W = Ordinal.omega
@@ -287,12 +288,15 @@ def test_in_loop_and_limits_match_the_back_edges():
 def test_compile_matches_the_token_by_token_walk(seed):
     """compile_expr, which copies the block of each w-power met again,
     against the walk that emits one token at a time with absolute
-    targets, on a random_expr draw and its tau: the targets s + d, the
-    nodes and the back edges are the reference's, and in_loop(s) holds
-    exactly when s lies in some [lo, hi]."""
+    targets, on a random_expr draw and its tau, on a smaller draw with
+    letter runs (`with_letter_runs`) and its tau, and on a letter run
+    alone, whose Concats of letters are compiled in one slice: the targets
+    s + d, the nodes and the back edges are the reference's, and in_loop(s)
+    holds exactly when s lies in some [lo, hi]."""
     rng = random.Random(seed)
     e = random_expr(rng, max_size=16, max_depth=4, letters="abc")
-    for x in (e, tau(e)):
+    runs = with_letter_runs(rng, random_expr(rng, max_size=6, max_depth=2, letters="abc"), "abc")
+    for x in (e, tau(e), runs, tau(runs), concat(letter_run(rng, "abc"))):
         auto = compile_expr(x)
         succ, nodes, tops, lows = reference_compile(x)
         assert targets(auto) == succ
@@ -499,10 +503,13 @@ def _outcome(read, *args):
 def test_expr_of_range_matches_a_letter_by_letter_rebuild(seed):
     """On every range, ends inside a body included, expr_of_range gives what
     a forward rebuild gives, and raises the same error on the same ranges
-    whose start cuts through a body."""
+    whose start cuts through a body: on a random_expr draw, its tau, and a
+    smaller draw with letter runs (`with_letter_runs`), whose ranges of at
+    least COPY_MIN letters are read in one slice."""
     rng = random.Random(seed)
     e = random_expr(rng, max_size=10, max_depth=3, letters="abc")
-    for x in (e, tau(e)):
+    runs = with_letter_runs(rng, random_expr(rng, max_size=3, max_depth=2, letters="abc"), "abc")
+    for x in (e, tau(e), runs):
         auto = compile_expr(x)
         tokens = _reference_tokens(x)
         # a letter token leads to s + 1; an w-token's body starts at target - 1

@@ -545,6 +545,13 @@ def test_concat_of_letters_builds_the_parsed_word():
 def test_letters_are_shared():
     assert Letter("a") is Letter("a")
     assert parse_expr("ab^wa").parts[0] is parse_expr("a") is Letter("a")
+    # the parser reads a run of letters through the table of shared nodes,
+    # which holds every letter an expression may be written with
+    assert all(expr_module._SHARED[a] is Letter(a) for a in LETTERS)
+    e = parse_expr(LETTERS + "(" + LETTERS[::-1] + ")^w" + LETTERS[3:5] + "^w")
+    letters = [*e.parts[:26], *e.parts[26].body.parts, e.parts[27], e.parts[28].body]
+    assert [p.sym for p in letters] == list(LETTERS + LETTERS[::-1] + LETTERS[3:5])
+    assert all(p is Letter(p.sym) for p in letters)
 
 
 def test_repr_pins_the_tree():

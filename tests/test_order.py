@@ -20,7 +20,7 @@ from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compar
 from ratword.ordinal import Ordinal, format_ordinal
 from ratword.runner import Trace, run_to_divergence, sync_step
 
-from helpers import random_finite_word
+from helpers import random_finite_word, with_letter_runs
 
 W = Ordinal.omega
 fin = Ordinal.from_int
@@ -908,37 +908,88 @@ def marking_automata():
                     ["(((aa)^wbaaa)^w)^w", "((aa(aa)^w)^wabaaaaba)^w"]]
 
 
+def assert_marking_as_reference(auto):
+    """factorize_states, with and without the log, gives the step-by-step
+    loop's steps, marked states and log records.  Returns the cases logged
+    and the reference's count of steps that closed more than one loop."""
+    expected, cascaded = reference_marking(auto)
+    marks = (expected.steps, expected.q_main, expected.q_secondary)
+    got = factorizer.factorize_states(auto)
+    assert (got.steps, got.q_main, got.q_secondary, got.log) == marks + ([],)
+    got = factorizer.factorize_states(auto, keep_log=True)
+    assert (got.steps, got.q_main, got.q_secondary) == marks
+    assert [(r.case, r.history) for r in got.log] == \
+        [(r.case, r.history) for r in expected.log]
+    return Counter(r.case for r in got.log), cascaded
+
+
 def test_marking_matches_the_step_by_step_loop():
-    """factorize_states, which decides a candidate whose first letters
-    differ at once and makes one sync_step call for each other candidate,
-    on one trace and sharp reset at each restart, with the log rebuilt from
-    each finished trace, gives the step-by-step loop's steps, marked states
-    and log records on every automaton, with and without the log."""
+    """factorize_states, which decides a candidate on its letter-only
+    prefix and makes one sync_step call for each other candidate, on one
+    trace and sharp reset at each restart, with the log rebuilt from each
+    finished trace, gives the step-by-step loop's steps, marked states and
+    log records on every automaton, with and without the log."""
     cases = Counter()
     cascaded = 0
     for auto in marking_automata():
-        expected, cascades = reference_marking(auto)
-        marks = (expected.steps, expected.q_main, expected.q_secondary)
-        got = factorizer.factorize_states(auto)
-        assert (got.steps, got.q_main, got.q_secondary, got.log) == marks + ([],)
-        got = factorizer.factorize_states(auto, keep_log=True)
-        assert (got.steps, got.q_main, got.q_secondary) == marks
-        assert [(r.case, r.history) for r in got.log] == \
-            [(r.case, r.history) for r in expected.log]
-        cases.update(r.case for r in got.log)
+        logged, cascades = assert_marking_as_reference(auto)
+        cases += logged
         cascaded += cascades
     assert all(cases[case] for case in ("1a", "1b", "1c", "2a", "2b", "3"))
     assert cascaded >= 2
     compile_expr.cache_clear()
 
 
-def test_marking_runs_only_candidates_whose_first_letters_agree(monkeypatch):
-    """factorize_states decides a candidate whose first letters differ
+def test_marking_matches_the_step_by_step_loop_on_letter_runs():
+    """The letter-only prefixes against the step-by-step loop: random
+    finite words over ab and abc of up to 400 letters; periodic words u^k,
+    and near-periodic ones whose last copy of u is cut short or ends in
+    another letter, so that runs reach the sharp's jump and go on from it;
+    and duplicated random_expr draws with letter runs in front of and
+    inside their w-bodies (`with_letter_runs`), so that long prefixes end
+    at w-tokens."""
+    rng = random.Random(28)
+    words = [random_finite_word(rng, 400, letters) for letters in ("ab", "abc") for _ in range(30)]
+    for _ in range(40):
+        u = random_finite_word(rng, 12, "abc")
+        k = rng.randint(2, 30)
+        cut = rng.randint(0, len(u) - 1)
+        words += [u * k, u * k + u[:cut], u * k + u[:cut] + rng.choice("abc")]
+    draws = [tau(with_letter_runs(rng, random_expr(rng, max_size=6, max_depth=2, letters="abc"),
+                                  "abc")) for _ in range(200)]
+    cases = Counter()
+    for e in [parse_expr(w) for w in words] + draws:
+        cases += assert_marking_as_reference(compile_expr(e))[0]
+    assert all(cases[case] for case in ("1a", "1b", "1c", "2a", "2b", "3")), cases
+    compile_expr.cache_clear()
+
+
+def past_letter_prefix(auto, log):
+    """The candidates of the step-by-step loop's log whose run goes past its
+    letter-only prefix: from (j, i) the run takes a step at a pair (s, t)
+    where s or t is an w-token or t + 1 = j, the right state next to the
+    sharp's jump.  Each candidate's log opens with its init, 2a or 2b
+    record, and its last record holds every pair of its run; the steps are
+    taken from each pair but the last, in order, so up to the first such
+    pair the run stays on the diagonal (j + q, i + q)."""
+    table, count = auto.table, 0
+    starts = [m for m, r in enumerate(log) if r.case in ("init", "2a", "2b")]
+    for m, end in zip(starts, starts[1:] + [len(log)]):
+        (j, i), = log[m].history
+        count += any(table[s][1] != 1 or table[t][1] != 1 or t + 1 == j
+                     for s, t in log[end - 1].history[:-1])
+    return count
+
+
+def test_marking_runs_only_candidates_past_their_letter_prefix(monkeypatch):
+    """factorize_states decides a candidate on its letter-only prefix
     without a product run: no sync_step call on ab^300, whose candidates all
     restart with 2a, nor on a strictly descending word, whose candidates all
-    cut.  On 40 random abc words it makes one call per candidate whose
-    first step is an equal-letter step of the step-by-step loop, the step
-    whose record holds two pairs."""
+    cut.  On 40 random abc words, on periodic and near-periodic words whose
+    runs reach the sharp's jump, and on 200 duplicated random_expr draws
+    whose runs reach w-tokens, it makes exactly one call per candidate whose
+    run goes past that prefix, as counted from the step-by-step loop's log
+    (`past_letter_prefix`)."""
     calls = 0
 
     def counting(left, right, trace):
@@ -951,16 +1002,22 @@ def test_marking_runs_only_candidates_whose_first_letters_agree(monkeypatch):
         factorizer.factorize_states(compile_expr(tau(parse_expr(text))))
         assert calls == 0, text
     rng = random.Random(23)
-    agreeing = 0
-    for _ in range(40):
-        auto = compile_expr(parse_expr(random_finite_word(rng, 400, "abc")))
-        expected, _ = reference_marking(auto)
-        first = sum(r.case in ("1a", "1b", "1c") and len(r.history) == 2 for r in expected.log)
-        calls = 0
-        assert factorizer.factorize_states(auto).steps == expected.steps
-        assert calls == first
-        agreeing += first
-    assert agreeing > 1000
+    words = [random_finite_word(rng, 400, "abc") for _ in range(40)]
+    periodic = ["ab" * 150 + "b", "aab" * 100 + "aa", "aab" * 100 + "ab", "abaab" * 60,
+                "a" * 200, "abc" * 50 + "abb"]
+    draws = [tau(random_expr(rng, max_size=12, max_depth=3, letters="abc")) for _ in range(200)]
+    totals = []
+    for inputs in ([parse_expr(w) for w in words], [parse_expr(w) for w in periodic], draws):
+        total = 0
+        for e in inputs:
+            auto = compile_expr(e)
+            expected, _ = reference_marking(auto)
+            calls = 0
+            assert factorizer.factorize_states(auto).steps == expected.steps
+            assert calls == past_letter_prefix(auto, expected.log), format_expr(e)[:40]
+            total += calls
+        totals.append(total)
+    assert totals[0] > 100 and totals[1] >= len(periodic) and totals[2] > 150, totals
     compile_expr.cache_clear()
 
 
