@@ -159,7 +159,14 @@ def concat(parts) -> RatExpr:
     check of them."""
     parts = tuple(parts)
     if Concat in map(type, parts):
-        parts = tuple(q for p in parts for q in (p.parts if type(p) is Concat else (p,)))
+        # a Concat's parts are copied as one slice, not part by part
+        flat: list[RatExpr] = []
+        for p in parts:
+            if type(p) is Concat:
+                flat += p.parts
+            else:
+                flat.append(p)
+        parts = tuple(flat)
     if len(parts) < 2:
         if not parts:
             raise ExprError("empty concatenation")

@@ -5,24 +5,29 @@ non-decreasing prime powers always combine into one), and an w-power is
 factorized by rotating its body's prime powers until one prime covers the
 whole cycle; as the body's blocks are a factorization, the rotation merges
 only at the front and across the wrap.  It never runs the marking
-algorithm, which it cross-checks.  A compare of two transfinite primes reads their w-prefixes, which every
-w-power keeps once found; only primes that agree on their first w letters
-and are not one node run the product of their compiled automata in
-`runner`, as the marking algorithm's steps do.
+algorithm, which it cross-checks.  A compare of two transfinite primes
+reads their w-prefixes, which every w-power keeps once found; only primes
+that agree on their first w letters and are not one node run the product
+of their compiled automata in `runner`, as the marking algorithm's steps
+do.
 
 Inside `factorize_structural` a prime is a plain str exactly when it has no
-w-power: every letter enters as its symbol, and u^a v^b with two str primes
-and finite a and b is the str u*a + v*b.  Two str primes merge by Python's
-str order, which is `compare`'s order on finite words, so merging finite
-primes is string work that calls no `compare`.  A str becomes an
-expression only where a merge meets a transfinite exponent or operand, and
-at the end, where every prime returned is a shared Letter, a flat Concat of
-them, or a transfinite expression.  The helpers below take primes in either
-form; given expressions only, they return expressions only."""
+w-power, and u^a v^b with two str primes and finite a and b is the str
+u*a + v*b.  Two str primes merge by Python's str order, which is
+`compare`'s order on finite words, so merging finite primes is string work
+that calls no `compare`.  Each maximal run of letters in a concatenation
+(all of it, when it has no w-power) is read as one string and factorized
+by one loop over it, which applies that merge rule inline on a stack of
+(str, int) blocks; the run's blocks then meet the other parts' blocks in
+`fact_product`.  A str becomes an expression only where a merge meets a
+transfinite exponent or operand, and at the end, where every prime
+returned is a shared Letter, a flat Concat of them, or a transfinite
+expression.  The helpers below take primes in either form; given
+expressions only, they return expressions only."""
 
 from __future__ import annotations
 
-from .expr import (Concat, Letter, Omega, RatExpr, as_finite_word, concat, fold,
+from .expr import (_SHARED, Letter, Omega, RatExpr, as_finite_word, concat, fold,
                    format_expr, power)
 from .factorizer import Factorization
 from .order import CompareOutcome, compare, word_equal
@@ -36,7 +41,7 @@ class StructuralError(RuntimeError):
 
 
 def _expr(p: Prime) -> RatExpr:
-    return concat(map(Letter, p)) if type(p) is str else p
+    return concat(map(_SHARED.__getitem__, p)) if type(p) is str else p
 
 
 def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
@@ -142,6 +147,63 @@ def fact_omega(blocks: list[tuple[Prime, Ordinal]]) -> list[tuple[Prime, Ordinal
     return blocks[:k] + [(v, beta * OMEGA)]
 
 
+def _letter_blocks(word: str) -> list[tuple[str, Ordinal]]:
+    """Factorization of a non-empty finite word, read one letter at a time
+    as fact_product reads one-letter blocks, with _merge's rule for two str
+    primes inline: u > v stops the merge, u == v adds the exponents, and
+    otherwise u^a v^b is the str u*a + v*b.  The top block is held in u and
+    a, the blocks below it in primes and exps.  Each decision merges two
+    blocks or stops the incoming one, so a word of n letters takes at most
+    2(n - 1) of them."""
+    if len(word) == 1:
+        return [(word, ONE)]
+    primes: list[str] = []
+    exps: list[int] = []
+    u, a = None, 0
+    for v in word:
+        b = 1
+        while u is not None:
+            if u > v:
+                primes.append(u)
+                exps.append(a)
+                break
+            if u == v:
+                b += a
+            else:
+                v, b = u * a + v * b, 1
+            if primes:
+                u, a = primes.pop(), exps.pop()
+            else:
+                u = None
+        u, a = v, b
+    primes.append(u)
+    exps.append(a)
+    return [(u, ONE if a == 1 else Ordinal.from_int(a)) for u, a in zip(primes, exps)]
+
+
+def _product(kids: list) -> list[tuple[Prime, Ordinal]]:
+    """Factorization of a concatenation from its parts' results: a str for
+    a letter, so that each maximal run of letters is factorized as one
+    word, and a block list for any other part."""
+    blocks: list[tuple[Prime, Ordinal]] = []
+    run: list[str] = []
+    for kid in kids:
+        if type(kid) is str:
+            run.append(kid)
+            continue
+        if run:
+            blocks += _letter_blocks("".join(run))
+            run = []
+        blocks += kid
+    if run:
+        blocks += _letter_blocks("".join(run))
+    return fact_product([], blocks)
+
+
+def _blocks(result: str | list) -> list[tuple[Prime, Ordinal]]:
+    return [(result, ONE)] if type(result) is str else result
+
+
 # Levels of an expression that factorize_structural walks by recursion, which
 # costs least on the shallow expressions that make up most inputs, before it
 # hands deeper subtrees to fold, which walks from an explicit stack.
@@ -149,23 +211,32 @@ RECURSION_LEVELS = 50
 
 
 def factorize_structural(e: RatExpr) -> Factorization:
-    def visit(node: RatExpr, kids: list) -> list[tuple[Prime, Ordinal]]:
+    # A letter answers its symbol and any other node its blocks.  An w-free
+    # Concat is one run of letters, whose string finite_word joins at once.
+    def visit(node: RatExpr, kids: list) -> str | list[tuple[Prime, Ordinal]]:
         if type(node) is Letter:
-            return [(node.sym, ONE)]
+            return node.sym
         if type(node) is Omega:
-            return fact_omega(kids[0])
-        # one product of all the parts' blocks: fact_product folds over them
-        return fact_product([], [b for blocks in kids for b in blocks])
+            return fact_omega(_blocks(kids[0]))
+        word = node.finite_word
+        if word is not None:
+            return fact_product([], _letter_blocks(word))
+        return _product(kids)
 
-    def go(node: RatExpr, levels: int) -> list[tuple[Prime, Ordinal]]:
-        # visit over a recursion; a letter is answered here, as a call of
-        # visit per letter costs more than the engine's own work on it
+    def go(node: RatExpr, levels: int) -> str | list[tuple[Prime, Ordinal]]:
+        # visit over a recursion; a letter part of a Concat is answered
+        # here, with no call
         kind = type(node)
         if kind is Letter:
-            return [(node.sym, ONE)]
+            return node.sym
         if not levels:
             return fold(node, visit)
-        return visit(node, [go(p, levels - 1)
-                            for p in (node.parts if kind is Concat else (node.body,))])
+        if kind is Omega:
+            return fact_omega(_blocks(go(node.body, levels - 1)))
+        word = node.finite_word
+        if word is not None:
+            return fact_product([], _letter_blocks(word))
+        return _product([p.sym if type(p) is Letter else go(p, levels - 1) for p in node.parts])
 
-    return Factorization(tuple((_expr(p), alpha) for p, alpha in go(e, RECURSION_LEVELS)))
+    return Factorization(tuple((_expr(p), alpha)
+                               for p, alpha in _blocks(go(e, RECURSION_LEVELS))))

@@ -1,6 +1,11 @@
 """Structural factorization combinators: examples and algebraic checks."""
 
+import inspect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -15,20 +20,21 @@ from ratword import (
     duval_factorize,
     fact_omega,
     fact_product,
+    factorize,
     factorize_structural,
     format_expr,
     parse_expr,
     power,
     word_equal,
 )
-from ratword.expr import Concat, Letter, RatExpr, as_finite_word, expr_length
+from ratword.expr import Concat, Letter, Omega, RatExpr, as_finite_word, expr_length, fold
 from ratword.ordinal import ONE, OMEGA, Ordinal
 import ratword.order as order
 import ratword.structural as structural
 from ratword.structural import StructuralError
 from ratword.gen import random_expr
 
-from helpers import random_finite_word
+from helpers import letter_run, random_finite_word, with_letter_runs
 
 E = parse_expr
 
@@ -271,15 +277,45 @@ def finite_words(draw):
     return "".join(rng.choice(letters) for _ in range(n))
 
 
+def count_run_decisions(f, *args):
+    """f(*args), and how many merge decisions the run loop made meanwhile:
+    the times a line trace saw `_letter_blocks` reach its one decision
+    line, `if u > v:`.  Every pass of its inner loop makes one decision."""
+    code = structural._letter_blocks.__code__
+    source, first = inspect.getsourcelines(structural._letter_blocks)
+    lines = [first + i for i, line in enumerate(source) if line.strip() == "if u > v:"]
+    assert len(lines) == 1, "the run loop's decision line is not `if u > v:`"
+    decisions = 0
+
+    def local(frame, event, arg):
+        nonlocal decisions
+        if event == "line" and frame.f_lineno == lines[0]:
+            decisions += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = f(*args)
+    finally:
+        sys.settrace(previous)
+    return result, decisions
+
+
 @settings(deadline=None, max_examples=120)
 @given(finite_words())
-@example("ba" * 250)  # 996 merge decisions against the bound 998
+@example("ba" * 250)  # 996 + 2 merge decisions against the bound 998
 def test_finite_word_costs_at_most_two_compares_per_letter(word):
     """Cost law on a finite word of n letters: factorize_structural decides
     at most 2(n - 1) merges, by str order, and makes no compare and no
-    product run.  Each decision either merges two blocks, at most n - 1
-    times in all, or stops an incoming block, at most once per block after
-    the first."""
+    product run.  The run loop reads the word and its F blocks then pass
+    fact_product.  In the loop each decision either merges two blocks, n - F
+    times in all, or stops an incoming block, at most once per letter after
+    the first; fact_product stops each block after the first once, F - 1
+    decisions."""
     calls = {"_merge": 0, "compare": 0, "compare_via_automata": 0}
 
     def counting(module, name):
@@ -294,10 +330,12 @@ def test_finite_word_costs_at_most_two_compares_per_letter(word):
         mp.setattr(structural, "_merge", counting(structural, "_merge"))
         mp.setattr(structural, "compare", counting(structural, "compare"))
         mp.setattr(order, "compare_via_automata", counting(order, "compare_via_automata"))
-        blocks = factorize_structural(E(word)).blocks
-    assert calls["_merge"] <= 2 * (len(word) - 1)
+        fact, decisions = count_run_decisions(factorize_structural, E(word))
+    blocks = fact.blocks
+    assert decisions + calls["_merge"] <= 2 * (len(word) - 1)
+    assert calls["_merge"] == len(blocks) - 1
     if word == "ba" * 250:
-        assert calls["_merge"] == 996
+        assert (decisions, calls["_merge"]) == (996, 2)
     assert calls["compare"] == calls["compare_via_automata"] == 0
     assert "".join(as_finite_word(p) * a.to_int() for p, a in blocks) == word
 
@@ -443,3 +481,97 @@ def test_matches_the_compare_based_reference_on_periodic_words():
     short = [w for w in words if len(w) <= 60]
     assert_matches_the_reference(
         [E(w) for w in words] + [E(f"({w})^w") for w in short] + [E(f"a^w{w}") for w in short])
+
+
+# Reference: every letter a one-letter block, and each concatenation one
+# fact_product over its parts' blocks, as the engine ran before it read a
+# run of letters in one loop.
+
+def letter_by_letter(e):
+    def visit(node, kids):
+        if type(node) is Letter:
+            return [(node.sym, ONE)]
+        if type(node) is Omega:
+            return fact_omega(kids[0])
+        return fact_product([], [b for blocks in kids for b in blocks])
+
+    return tuple((concat(map(Letter, p)) if type(p) is str else p, alpha)
+                 for p, alpha in fold(e, visit))
+
+
+def assert_matches_letter_by_letter(e):
+    blocks = factorize_structural(e).blocks
+    assert repr(blocks) == repr(letter_by_letter(e)), format_expr(e)
+    for p, _ in blocks:
+        assert_expression_prime(p)
+
+
+def test_letter_runs_match_the_letter_by_letter_reference():
+    rng = random.Random(29)
+    for _ in range(400):
+        letters = rng.choice(["ab", "abc"])
+        e = random_expr(rng, max_size=rng.randint(2, 12), max_depth=rng.randint(0, 3),
+                        letters=letters)
+        assert_matches_letter_by_letter(with_letter_runs(rng, e, letters))
+
+
+@settings(deadline=None, max_examples=100)
+@given(finite_words())
+def test_finite_words_match_the_letter_by_letter_reference(word):
+    assert_matches_letter_by_letter(E(word))
+
+
+def test_a_nesting_past_the_recursion_levels_matches_the_letter_by_letter_reference():
+    """A letter run on both sides of every level of a nesting deeper than
+    RECURSION_LEVELS, so that fold reads the runs below them."""
+    rng = random.Random(291)
+    e = concat(letter_run(rng))
+    for _ in range(structural.RECURSION_LEVELS + 10):
+        e = concat(letter_run(rng) + [Omega(e)] + letter_run(rng))
+    assert_matches_letter_by_letter(e)
+
+
+def ladder(n):
+    """The word a^w b a^w b^2 ... a^w b^n."""
+    return "".join("a^w" + "b" * k for k in range(1, n + 1))
+
+
+PEAK_PROBE = """
+import resource, sys, time
+from ratword import factorize_structural, parse_expr
+e = parse_expr(sys.argv[1])
+start = time.perf_counter()
+fact = factorize_structural(e)
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(len(fact.blocks), seconds, peak / (2**20 if sys.platform == "darwin" else 2**10))
+"""
+
+# On Linux a process's peak RSS starts from that of the process it was
+# forked from, so the probe is started from a bare interpreter, not from
+# the test's process.
+LAUNCHER = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+
+
+def test_a_run_after_an_omega_power_merges_once():
+    """A run of letters is one block before it meets the w-power; merged
+    letter by letter, a^w b^12800 took 7.1 s."""
+    e = E("a^w" + "b" * 12800)
+    start = perf_counter()
+    blocks = factorize_structural(e).blocks
+    assert perf_counter() - start < 0.5
+    assert blocks == ((e, ONE),)
+
+
+def test_ladder_of_omega_powers_and_runs_in_time_and_memory():
+    """a^w b ... a^w b^200 in a fresh process: under 1 s and 100 MB peak
+    RSS (20 s and 92 MB merged letter by letter); one prime, as the
+    automaton engine finds on n = 80."""
+    assert factorize(E(ladder(80)))[0].same_as(factorize_structural(E(ladder(80))))
+    src = Path(structural.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, "-c", PEAK_PROBE, ladder(200)], env=env,
+                         capture_output=True, text=True, timeout=10, check=True).stdout
+    blocks, seconds, peak_mb = out.split()
+    assert int(blocks) == 1
+    assert float(seconds) < 1.0 and float(peak_mb) < 100, out
