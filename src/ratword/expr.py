@@ -9,7 +9,7 @@ import re
 import weakref
 from _weakref import _remove_dead_weakref
 from functools import lru_cache, partial
-from operator import attrgetter
+from operator import attrgetter, indexOf
 from typing import Callable
 
 from .ordinal import Ordinal, div_left, ordinal_sum, sub_left, ONE, OMEGA
@@ -385,7 +385,7 @@ def omega_prefix(e: RatExpr) -> tuple[str, str]:
     while True:
         if type(node) is Concat:
             try:
-                i = [*map(type, node.parts)].index(Omega)
+                i = indexOf(map(type, node.parts), Omega)
             except ValueError:
                 raise ExprError(f"{format_expr(e)} has no w-power") from None
             read += map(attrgetter("sym"), node.parts[:i])
@@ -407,6 +407,22 @@ def omega_prefix(e: RatExpr) -> tuple[str, str]:
         # an Omega's u is u[start:]; sharing u keeps a deep spine linear
         _set_omega_prefix(node, (u, start, p))
     return u, p
+
+
+def left_spine(e: RatExpr):
+    """e and the nodes below it on its left spine: from a Concat its first
+    part, from an Omega its body, down to a Letter.  Each is a prefix of e,
+    and each one below e is a proper prefix, so strictly shorter."""
+    node = e
+    while True:
+        yield node
+        kind = type(node)
+        if kind is Concat:
+            node = node.parts[0]
+        elif kind is Omega:
+            node = node.body
+        else:
+            return
 
 
 def first_letters(e: RatExpr, n: int) -> str:

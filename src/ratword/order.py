@@ -10,11 +10,14 @@ Two transfinite words are first compared on their w-prefixes u1 p1^w and
 u2 p2^w (`expr.omega_prefix`).  By Fine and Wilf's theorem two such words
 that differ at all differ within max(|u1|, |u2|) + |p1| + |p2| letters, so
 a string compare of that many letters finds the first difference of any two
-words whose first w letters differ.  Only two words that agree on their
-first w letters and are not one node (equal expressions are one node, see
-`expr.RatExpr`) run the synchronized product of their compiled automata;
-the trace position at divergence is the ordinal position of the first
-differing letter.
+words whose first w letters differ.  Two words that agree on their first w
+letters and are not one node (equal expressions are one node, see
+`expr.RatExpr`) are next read on their expressions, whose nodes are
+canonical, so that a shared node is a shared word: their longest run of
+shared leading parts is stripped, and a word on the other's left spine is
+a proper prefix of it.  Only a pair that neither rule decides runs the
+synchronized product of their compiled automata; the trace position at
+divergence is the ordinal position of the first differing letter.
 
 The structural engine merges two finite primes by Python's str order, which
 is the order this module gives finite words, and calls `compare` for every
@@ -28,8 +31,9 @@ import enum
 from operator import itemgetter
 
 from .automaton import compile_expr
-from .expr import RatExpr, as_finite_word, expr_length, first_letters, omega_prefix
-from .ordinal import Ordinal
+from .expr import (Concat, RatExpr, as_finite_word, concat, expr_length, first_letters,
+                   left_spine, omega_prefix)
+from .ordinal import Ordinal, ordinal_sum
 from .runner import run_to_divergence
 
 
@@ -129,7 +133,34 @@ def compare(x: RatExpr | str, y: RatExpr | str) -> CompareOutcome:
     u, v = (u1 + p1 * (n // len(p1) + 1))[:n], (u2 + p2 * (n // len(p2) + 1))[:n]
     if u != v:
         return _compare_finite(u, v)
-    return compare_via_automata(x, y)
+    return _compare_on_expressions(x, y) or compare_via_automata(x, y)
+
+
+def _compare_on_expressions(x: RatExpr, y: RatExpr) -> CompareOutcome | None:
+    """compare's outcome for two transfinite words that are not one node,
+    where their expressions show it, else None.  A word is a proper prefix
+    of the other when its parts lead the other's, or when it lies on the
+    other's left spine.  Otherwise the leading parts the two share (nodes,
+    so equal words) are stripped and the rests compared, the stripped
+    length added to the position."""
+    xs = x.parts if type(x) is Concat else (x,)
+    ys = y.parts if type(y) is Concat else (y,)
+    k = 0
+    for a, b in zip(xs, ys):
+        if a is not b:
+            break
+        k += 1
+    if k == len(xs) or x in left_spine(y):
+        return CompareOutcome(_LEFT_PREFIX, expr_length(x))
+    if k == len(ys) or y in left_spine(x):
+        return CompareOutcome(_RIGHT_PREFIX, expr_length(y))
+    if not k:
+        return None
+    out = compare(concat(xs[k:]), concat(ys[k:]))
+    if out.is_equal:
+        return out
+    return CompareOutcome(out.rel, ordinal_sum([*map(expr_length, xs[:k]), out.position]),
+                          out.letters)
 
 
 def compare_via_automata(x: RatExpr, y: RatExpr) -> CompareOutcome:

@@ -6,10 +6,12 @@ factorized by rotating its body's prime powers until one prime covers the
 whole cycle; as the body's blocks are a factorization, the rotation merges
 only at the front and across the wrap.  It never runs the marking
 algorithm, which it cross-checks.  A compare of two transfinite primes
-reads their w-prefixes, which every w-power keeps once found; only primes
-that agree on their first w letters and are not one node run the product
-of their compiled automata in `runner`, as the marking algorithm's steps
-do.
+reads their w-prefixes, which every w-power keeps once found, and then
+their expressions (`order.compare`); only a pair decided by neither runs
+the product of their compiled automata in `runner`, as the marking
+algorithm's steps do.  Whether u^a is absorbed by v, u^a v = v, is read
+off v's left spine when a is finite and an w-power of u lies there, and
+is otherwise a compare.
 
 Inside `factorize_structural` a prime is a plain str exactly when it has no
 w-power, and u^a v^b with two str primes and finite a and b is the str
@@ -18,17 +20,18 @@ u*a + v*b.  Two str primes merge by Python's str order, which is
 that calls no `compare`.  Each maximal run of letters in a concatenation
 (all of it, when it has no w-power) is read as one string and factorized
 by one loop over it, which applies that merge rule inline on a stack of
-(str, int) blocks; the run's blocks then meet the other parts' blocks in
-`fact_product`.  A str becomes an expression only where a merge meets a
-transfinite exponent or operand, and at the end, where every prime
-returned is a shared Letter, a flat Concat of them, or a transfinite
-expression.  The helpers below take primes in either form; given
-expressions only, they return expressions only."""
+(str, int) blocks.  Without w-power those blocks are the factorization;
+otherwise they meet the other parts' blocks in `fact_product`.  A str
+becomes an expression only where a merge meets a transfinite exponent or
+operand, and at the end, where every prime returned is a shared Letter, a
+flat Concat of them, or a transfinite expression.  The helpers below take
+primes in either form; given expressions only, they return expressions
+only."""
 
 from __future__ import annotations
 
 from .expr import (_SHARED, Letter, Omega, RatExpr, as_finite_word, concat, fold,
-                   format_expr, power)
+                   format_expr, left_spine, power)
 from .factorizer import Factorization
 from .order import CompareOutcome, compare, word_equal
 from .ordinal import ONE, OMEGA, Ordinal
@@ -57,7 +60,11 @@ def concat_pp(u: Prime, alpha: Ordinal, v: Prime, beta: Ordinal,
             f"concat_pp needs {format_expr(_expr(u))} <=lex {format_expr(_expr(v))}")
     u, v = _expr(u), _expr(v)
     # u^alpha is absorbed by v when u^alpha v = v: the result is v^beta.  A
-    # finite v never absorbs, since |u^alpha v| > |v|.
+    # finite v never absorbs, since |u^alpha v| > |v|.  A v that starts with
+    # u^w, an w-power of u on its left spine, absorbs every finite u^alpha.
+    if alpha.is_finite and any(type(node) is Omega and node.body is u
+                               for node in left_spine(v)):
+        return v, beta
     if as_finite_word(v) is None and word_equal(concat([power(u, alpha), v]), v):
         return v, beta
     return concat([power(u, alpha), power(v, beta)]), ONE
@@ -220,7 +227,7 @@ def factorize_structural(e: RatExpr) -> Factorization:
             return fact_omega(_blocks(kids[0]))
         word = node.finite_word
         if word is not None:
-            return fact_product([], _letter_blocks(word))
+            return _letter_blocks(word)
         return _product(kids)
 
     def go(node: RatExpr, levels: int) -> str | list[tuple[Prime, Ordinal]]:
@@ -235,7 +242,7 @@ def factorize_structural(e: RatExpr) -> Factorization:
             return fact_omega(_blocks(go(node.body, levels - 1)))
         word = node.finite_word
         if word is not None:
-            return fact_product([], _letter_blocks(word))
+            return _letter_blocks(word)
         return _product([p.sym if type(p) is Letter else go(p, levels - 1) for p in node.parts])
 
     return Factorization(tuple((_expr(p), alpha)

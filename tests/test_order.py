@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ratword import factorizer, order, runner
 from ratword.automaton import MissingLimitError, SharpAutomaton, compile_expr
 from ratword.duplication import tau
-from ratword.expr import (Letter, Omega, as_finite_word, concat, first_letters, format_expr,
-                          parse_expr, prefix_to, suffix_from)
+from ratword.expr import (Concat, Letter, Omega, as_finite_word, concat, first_letters,
+                          format_expr, parse_expr, prefix_to, suffix_from)
 from ratword.factorizer import FactorizeError, FactorizerState, StepRecord
 from ratword.gen import random_expr
 from ratword.order import (CompareOutcome, Rel, _compare_finite, compare, compare_via_automata,
@@ -1053,10 +1053,25 @@ def transfinite_pairs(rng, count):
             yield transfinite_expr(rng), transfinite_expr(rng)
 
 
+def shifted_pairs(rng, count):
+    """count pairs that agree on their first w letters, u^w, but share no
+    leading node and neither lies on the other's left spine: u^w r against
+    u u^w s, and (uu)^w r against u^w s, in either order."""
+    for _ in range(count):
+        u = random_expr(rng, max_size=6, max_depth=1, letters="abc")
+        r, s = (random_expr(rng, max_size=6, max_depth=2, letters="abc") for _ in range(2))
+        if rng.random() < 0.5:
+            x, y = concat([Omega(u), r]), concat([u, Omega(u), s])
+        else:
+            x, y = concat([Omega(concat([u, u])), r]), concat([Omega(u), s])
+        yield (x, y) if rng.random() < 0.5 else (y, x)
+
+
 def test_transfinite_compare_agrees_with_the_product_run(monkeypatch):
-    """On 10k pairs of transfinite words, compare (w-prefixes first, the
-    product run only past them) gives the product run's relation, position
-    and letters."""
+    """On 10k pairs of transfinite words, compare (w-prefixes first, then the
+    expressions, the product run only past them) gives the product run's
+    relation, position and letters; so it does on 2k pairs that only the
+    product run decides, each of which reaches it."""
     product = compare_via_automata
     calls = []
 
@@ -1069,11 +1084,68 @@ def test_transfinite_compare_agrees_with_the_product_run(monkeypatch):
     monkeypatch.setattr(order, "compare_via_automata", counted)
     pairs = [(parse_expr("b((bb)^w)^w(abbb)^w"), parse_expr("(b(bb)^w)^wa"))]
     pairs += transfinite_pairs(random.Random(12), 10_000)
-    for x, y in pairs:
+    shifted = list(shifted_pairs(random.Random(30), 2_000))
+    for x, y in pairs + shifted:
         fast, slow = compare(x, y), product(x, y)
         assert (fast.rel, fast.position, fast.letters) == \
             (slow.rel, slow.position, slow.letters), (format_expr(x), format_expr(y))
-    # the pairs that share a prefix reach the product run, unless equal
-    assert len(calls) > len(pairs) // 4
+    # every shifted pair reaches the product run
+    assert len(calls) >= len(shifted)
     compile_expr.cache_clear()
 
+
+def expression_rule_pairs(rng, count):
+    """count triples (x, y, whole): transfinite words that agree on their
+    first w letters, drawn so that each of compare's rules on the
+    expressions comes up, in turn:
+    - x against x r, both ways: shared leading parts and an empty rest;
+    - p x against p y: shared leading parts, the rests compared;
+    - x against x^w and (x r)^w, both ways: x on the other's left spine
+      (on that of (x r)^w only when x is no Concat, whose parts flatten);
+    - equal-length pairs whose left spines meet: u^w r against u u^w r, and
+      (uu)^w r against u^w r, equal words of which neither lies on the
+      other's spine.
+    whole is False where a rule decides the pair, so the product run never
+    sees it whole."""
+    def draw():
+        return random_expr(rng, max_size=6, max_depth=2, letters="abc")
+
+    for i in range(count):
+        x, r = transfinite_expr(rng), draw()
+        family = i % 4
+        if family == 0:
+            y, whole = concat([x, r]), False
+        elif family == 1:
+            p = transfinite_expr(rng)
+            x, y, whole = concat([p, draw()]), concat([p, draw()]), False
+        elif family == 2:
+            y, whole = ((Omega(x), False) if rng.random() < 0.5
+                        else (Omega(concat([x, r])), type(x) is Concat))
+        else:
+            u = random_expr(rng, max_size=6, max_depth=1, letters="abc")
+            if rng.random() < 0.5:
+                x, y = concat([Omega(u), r]), concat([u, Omega(u), r])
+            else:
+                x, y = concat([Omega(concat([u, u])), r]), concat([Omega(u), r])
+            whole = True
+        yield (x, y, whole) if rng.random() < 0.5 else (y, x, whole)
+
+
+def test_compare_on_the_expressions_agrees_with_the_product_run(monkeypatch):
+    """On 8k pairs drawn to hit each rule that compare reads off the
+    expressions, it gives the product run's relation, position and letters,
+    and a pair that a rule decides never reaches the product run whole."""
+    product = compare_via_automata
+    seen = []
+    monkeypatch.setattr(order, "compare_via_automata",
+                        lambda x, y: seen.append((x, y)) or product(x, y))
+    ruled = 0
+    for x, y, whole in expression_rule_pairs(random.Random(301), 8_000):
+        seen.clear()
+        fast, slow = compare(x, y), product(x, y)
+        assert (fast.rel, fast.position, fast.letters) == \
+            (slow.rel, slow.position, slow.letters), (format_expr(x), format_expr(y))
+        assert ((x, y) in seen) is whole, (format_expr(x), format_expr(y))
+        ruled += not whole
+    assert ruled > 4_000
+    compile_expr.cache_clear()
